@@ -53,14 +53,23 @@ def _parse_tokens(spec: str):
 
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        if not isinstance(data, list):
-            raise InputError(f"{spec} must hold a JSON list of token ids")
-        return np.asarray(data, dtype=np.int64)
+            try:
+                data = json.load(f)
+            except ValueError as exc:
+                raise InputError(f"{spec} is not valid JSON: {exc}") from exc
+        if not isinstance(data, list) or not all(
+            isinstance(t, int) and not isinstance(t, bool) for t in data
+        ):
+            raise InputError(f"{spec} must hold a JSON list of integer token ids")
+    else:
+        try:
+            data = [int(t) for t in spec.split(",") if t != ""]
+        except ValueError as exc:
+            raise InputError(f"--tokens must be a file or comma-separated ids: {exc}") from exc
     try:
-        return np.asarray([int(t) for t in spec.split(",") if t != ""], dtype=np.int64)
-    except ValueError as exc:
-        raise InputError(f"--tokens must be a file or comma-separated ids: {exc}") from exc
+        return np.asarray(data, dtype=np.int64)
+    except OverflowError as exc:
+        raise InputError(f"token id out of range: {exc}") from exc
 
 
 def _parse_int_list(spec: str):

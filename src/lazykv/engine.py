@@ -1,12 +1,17 @@
 """Inference sessions with per-layer full/streaming cache policies.
 
 Prefill always computes exact full-causal attention for every layer, so
-prefill logits match the plain model (bit for bit up to the row-block
-threshold, where the code path is shared outright); what varies is cache
-retention afterwards:
+prefill logits match the plain model; what varies is cache retention
+afterwards. Up to ``_PREFILL_BLOCK`` prompt tokens the model's own attention
+path is shared outright, so logits are bit-identical to forward_full.
+Longer prompts run on a tiled causal kernel over head-stacked arrays that
+also returns every row's log-sum-exp.
 
 * online mode: after each layer's attention, its lazy ratio is computed
   from the log-sum-exp shortcut and pushed into a bounded priority queue.
+  Above the threshold the full-causal lse of the trailing rows is read
+  from the kernel's output; at or below it, the kernel's tile routine runs
+  once over just those rows.
   A popped layer has its cache shrunk to the streaming window immediately,
   freeing memory mid-prefill. Hidden states of already-processed layers are
   never recomputed, so any divergence from the plain model appears only at
@@ -45,7 +50,7 @@ from .model import (
     mha_from_projections,
     project_qkv,
 )
-from .numerics import MaskSpec, _masked_max_and_expsum
+from .numerics import MaskSpec
 
 __all__ = [
     "PolicyFile",
@@ -57,10 +62,16 @@ __all__ = [
     "identification_overhead",
 ]
 
-# Row-block size for prefill attention. At or below this the unblocked
-# model path is used, which keeps small-prompt prefill bit-identical to
-# forward_full.
+# Prompt length above which prefill attention runs on the tiled causal
+# kernel. At or below it the unblocked model path is used, which keeps
+# small-prompt prefill bit-identical to forward_full.
 _PREFILL_BLOCK = 1024
+# Query rows per tile of the causal kernel.
+_PREFILL_TILE = 128
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -98,19 +109,54 @@ class PolicyFile:
     @classmethod
     def load(cls, path) -> "PolicyFile":
         with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-        try:
-            return cls(
-                fingerprint=raw["fingerprint"],
-                lazy_layers=list(raw["lazy_layers"]),
-                w_sink=int(raw["w_sink"]),
-                w_recent=int(raw["w_recent"]),
-                provenance=raw["provenance"],
-                seed=raw.get("seed"),
-                recent_windows=raw.get("recent_windows"),
-            )
-        except KeyError as exc:
-            raise InputError(f"policy file {path} is missing field {exc}") from exc
+            try:
+                raw = json.load(f)
+            except ValueError as exc:
+                raise InputError(f"policy file {path} is not valid JSON: {exc}") from exc
+        return cls.from_dict(raw, f"policy file {path}")
+
+    @classmethod
+    def from_dict(cls, raw, source: str = "policy") -> "PolicyFile":
+        """Validate a decoded policy object; every defect is an InputError."""
+        if not isinstance(raw, dict):
+            raise InputError(f"{source} must hold a JSON object")
+        missing = [k for k in ("fingerprint", "lazy_layers", "w_sink", "w_recent",
+                               "provenance") if k not in raw]
+        if missing:
+            raise InputError(f"{source} is missing field {missing[0]!r}")
+
+        def int_list(name):
+            value = raw[name]
+            if not isinstance(value, list) or not all(_is_int(v) for v in value):
+                raise InputError(f"{source}: {name} must be a list of integers")
+            return list(value)
+
+        for name in ("fingerprint", "provenance"):
+            if not isinstance(raw[name], str):
+                raise InputError(f"{source}: {name} must be a string")
+        for name, low in (("w_sink", 0), ("w_recent", 1)):
+            if not _is_int(raw[name]) or raw[name] < low:
+                raise InputError(f"{source}: {name} must be an integer >= {low}")
+        lazy_layers = int_list("lazy_layers")
+        if len(set(lazy_layers)) != len(lazy_layers):
+            raise InputError(f"{source}: lazy_layers contains duplicates")
+        recent_windows = None
+        if raw.get("recent_windows") is not None:
+            recent_windows = int_list("recent_windows")
+            if any(w < 1 for w in recent_windows):
+                raise InputError(f"{source}: recent_windows must all be >= 1")
+        seed = raw.get("seed")
+        if seed is not None and not _is_int(seed):
+            raise InputError(f"{source}: seed must be an integer")
+        return cls(
+            fingerprint=raw["fingerprint"],
+            lazy_layers=lazy_layers,
+            w_sink=raw["w_sink"],
+            w_recent=raw["w_recent"],
+            provenance=raw["provenance"],
+            seed=seed,
+            recent_windows=recent_windows,
+        )
 
     def window_for(self, layer: int) -> int:
         if self.recent_windows is not None:
@@ -129,42 +175,53 @@ class EngineParams:
             raise InputError("max_new_tokens must be >= 0")
 
 
-def _blocked_causal_attention(qs, ks, vs, scale: float) -> np.ndarray:
-    """Exact causal attention in query-row blocks, bounding peak memory."""
-    n = qs[0].shape[0]
-    if n <= _PREFILL_BLOCK:
-        return mha_from_projections(qs, ks, vs, MaskSpec.causal(), scale)
-    d_value = vs[0].shape[1]
-    out = np.zeros((n, d_value))
-    cols = np.arange(n, dtype=np.int64)
-    for q, k, v in zip(qs, ks, vs):
-        for r0 in range(0, n, _PREFILL_BLOCK):
-            r1 = min(r0 + _PREFILL_BLOCK, n)
-            scores = q[r0:r1] @ k.T
-            if scale != 1.0:
-                scores = scores * scale
-            allowed = cols[None, :] <= np.arange(r0, r1, dtype=np.int64)[:, None]
-            _, expd, sums = _masked_max_and_expsum(scores, allowed)
-            out[r0:r1] += (expd / sums[:, None]) @ v
-    return out
+def _causal_tile(q, k, v, scale: float, r0: int):
+    """Causal attention for the query rows at positions r0 .. r0+t-1.
 
-
-def _causal_lse_tail(q_tail: np.ndarray, k: np.ndarray, scale: float, start_pos: int) -> np.ndarray:
-    """Full-causal per-row log-sum-exp for the trailing query rows.
-
-    Row j of ``q_tail`` sits at absolute position ``start_pos + j`` and may
-    see keys 0..start_pos+j.
+    ``q`` is (H, t, d_head); ``k`` and ``v`` hold at least the rows for
+    positions 0 .. r0+t-1, head-stacked, and ``v`` may be None when only the
+    log-sum-exp is wanted. Scores are formed only against those keys, and
+    only the trailing (t, t) diagonal block needs masking: a masked entry is
+    left out of the max, clamped so its exp cannot overflow, and zeroed by
+    the mask multiply. Returns ``(out (H, t, d_value) or None, lse (H, t))``.
     """
-    scores = q_tail @ k.T
+    t = q.shape[1]
+    r1 = r0 + t
+    scores = np.matmul(q, k[:, :r1].transpose(0, 2, 1))
     if scale != 1.0:
-        scores = scores * scale
-    n = k.shape[0]
-    m = q_tail.shape[0]
-    cols = np.arange(n, dtype=np.int64)
-    rows = np.arange(start_pos, start_pos + m, dtype=np.int64)
-    allowed = cols[None, :] <= rows[:, None]
-    row_max, _, sums = _masked_max_and_expsum(scores, allowed)
-    return row_max + np.log(sums)
+        scores *= scale
+    diag = scores[:, :, r0:]
+    tril = np.tri(t, dtype=bool)
+    row_max = diag.max(axis=2, where=tril, initial=-np.inf)
+    if r0 > 0:
+        np.maximum(row_max, scores[:, :, :r0].max(axis=2), out=row_max)
+    scores -= row_max[:, :, None]
+    np.minimum(diag, 0.0, out=diag)
+    np.exp(scores, out=scores)
+    diag *= tril
+    sums = scores.sum(axis=2)
+    lse = row_max + np.log(sums)
+    if v is None:
+        return None, lse
+    out = np.matmul(scores, v[:, :r1])
+    out /= sums[:, :, None]
+    return out, lse
+
+
+def _causal_attention(q, k, v, scale: float):
+    """Exact causal attention over head-stacked (H, n, d) arrays.
+
+    Query rows go in tiles of ``_PREFILL_TILE``; each tile scores only the
+    keys up to its own end. Returns ``(out (H, n, d_value), lse (H, n))``,
+    the per-row log-sum-exp being the normalizer of every causal row.
+    """
+    n_heads, n, _ = q.shape
+    out = np.empty((n_heads, n, v.shape[2]))
+    lse = np.empty((n_heads, n))
+    for r0 in range(0, n, _PREFILL_TILE):
+        r1 = min(r0 + _PREFILL_TILE, n)
+        out[:, r0:r1], lse[:, r0:r1] = _causal_tile(q[:, r0:r1], k, v, scale, r0)
+    return out, lse
 
 
 class Session:
@@ -178,6 +235,12 @@ class Session:
             bad = [i for i in params.policy.lazy_layers if not 0 <= i < config.n_layers]
             if bad:
                 raise InputError(f"policy names layers {bad} outside the model")
+            windows = params.policy.recent_windows
+            if windows is not None and len(windows) != config.n_layers:
+                raise InputError(
+                    f"policy gives {len(windows)} recent windows for "
+                    f"{config.n_layers} layers"
+                )
         self.caches = [
             LayerCache(config.n_heads, config.d_head, config.d_model, CachePolicy.full())
             for _ in range(config.n_layers)
@@ -235,16 +298,25 @@ class Session:
         for layer in range(cfg.n_layers):
             x_norm = ln(x, cfg.ln_mode)
             qs, ks, vs = project_qkv(x_norm, self.weights, layer)
-            attn = _blocked_causal_attention(qs, ks, vs, scale)
+            lse = None
+            if n > _PREFILL_BLOCK:
+                k = np.stack(ks)
+                heads, lse = _causal_attention(np.stack(qs), k, np.stack(vs), scale)
+                attn = heads.sum(axis=0)
+            else:
+                attn = mha_from_projections(qs, ks, vs, MaskSpec.causal(), scale)
             self.caches[layer].append(ks, vs)
             self._observe()
             if online:
-                q_last = [q[n - m :] for q in qs]
-                lse = [
-                    _causal_lse_tail(q_last[h], ks[h], scale, n - m)
-                    for h in range(cfg.n_heads)
-                ]
-                head_logs = lse_log_ratios(q_last, ks, lse, detect, scale)
+                # The tiled pass already holds every row's lse; short prompts
+                # run one tile over just the last m rows.
+                q_last = np.stack([q[n - m :] for q in qs])
+                if lse is None:
+                    k = np.stack(ks)
+                    _, lse = _causal_tile(q_last, k, None, scale, n - m)
+                else:
+                    lse = lse[:, n - m :]
+                head_logs = lse_log_ratios(q_last, k, lse, detect, scale)
                 ratio = float(np.exp(head_logs).mean())
                 ratios.append(ratio)
                 log_ratios.append(head_logs)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ContractViolation, InputError
 from .kvcache import kept_positions_for
+from .numerics import _masked_max_and_expsum
 
 __all__ = [
     "DetectParams",
@@ -93,7 +94,10 @@ def lse_log_ratios(
 
     ``q_last[h]`` holds the last query rows of head h, ``keys[h]`` all of
     its key rows, and ``lse[h]`` the full causal per-row log-sum-exp for
-    those same query rows, computed under the same score scaling.
+    those same query rows, computed under the same score scaling. Lists of
+    per-head arrays and head-stacked arrays are both accepted. The kept-set
+    scores come from one gathered (H, m, U) block over the union U of the
+    rows' retention sets, each row masked to its own set.
     """
     n_heads = len(q_last)
     if len(keys) != n_heads or len(lse) != n_heads:
@@ -101,21 +105,22 @@ def lse_log_ratios(
             f"head counts differ: {n_heads} queries, {len(keys)} keys, "
             f"{len(lse)} lse rows"
         )
-    n = keys[0].shape[0]
     m = q_last[0].shape[0]
-    out = np.empty((n_heads, m))
-    for h in range(n_heads):
-        if q_last[h].shape[0] != m or lse[h].shape[0] != m:
-            raise ContractViolation("query/lse row counts differ across heads")
-        for j in range(m):
-            q_pos = n - m + j
-            kept = kept_query_positions(q_pos, params.w_sink, params.w_recent)
-            scores = q_last[h][j] @ keys[h][kept].T
-            if scale != 1.0:
-                scores = scores * scale
-            top = scores.max()
-            out[h, j] = top + np.log(np.exp(scores - top).sum()) - lse[h][j]
-    return out
+    if any(q.shape[0] != m for q in q_last) or any(r.shape[0] != m for r in lse):
+        raise ContractViolation("query/lse row counts differ across heads")
+    q = np.asarray(q_last, dtype=np.float64)
+    k = np.asarray(keys, dtype=np.float64)
+    n = k.shape[1]
+    # Every column some trailing query keeps: the sinks plus the recent
+    # window of the first of those queries stretched to the last one.
+    cols = kept_positions_for(n, params.w_sink, params.w_recent + m - 1)
+    q_pos = np.arange(n - m, n, dtype=np.int64)[:, None]
+    kept = (cols <= q_pos) & ((cols < params.w_sink) | (cols > q_pos - params.w_recent))
+    scores = np.matmul(q, k[:, cols].transpose(0, 2, 1))
+    if scale != 1.0:
+        scores *= scale
+    row_max, _, sums = _masked_max_and_expsum(scores, kept)
+    return row_max + np.log(sums) - np.asarray(lse, dtype=np.float64)
 
 
 def lazy_ratio_lse(

@@ -97,18 +97,23 @@ def matmul(a, b) -> np.ndarray:
 
 
 def _masked_max_and_expsum(scores: np.ndarray, allowed: np.ndarray):
-    if not allowed.any(axis=1).all():
-        bad = int(np.flatnonzero(~allowed.any(axis=1))[0])
+    """Masked row max, masked exp and row sums over the last axis.
+
+    ``allowed`` broadcasts against ``scores``, so one (rows, cols) mask can
+    serve a head-stacked (H, rows, cols) score block.
+    """
+    if not allowed.any(axis=-1).all():
+        bad = int(np.flatnonzero(~allowed.any(axis=-1))[0])
         raise ContractViolation(f"score row {bad} has no allowed positions")
-    row_max = scores.max(axis=1, where=allowed, initial=-np.inf)
-    shifted = scores - row_max[:, None]
+    row_max = scores.max(axis=-1, where=allowed, initial=-np.inf)
+    shifted = scores - row_max[..., None]
     # Allowed entries are <= 0 after max-subtraction, so clamping touches
     # only masked ones; it stops their exp from overflowing before the mask
     # multiply zeroes them out exactly. Keeps the fast vectorized exp.
     np.minimum(shifted, 0.0, out=shifted)
     expd = np.exp(shifted)
     expd *= allowed
-    return row_max, expd, expd.sum(axis=1)
+    return row_max, expd, expd.sum(axis=-1)
 
 
 def masked_row_softmax(scores, mask: MaskSpec) -> np.ndarray:

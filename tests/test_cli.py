@@ -134,6 +134,65 @@ class TestRun:
     def test_bad_token_string_is_input_error(self, model_path):
         assert run_cli("run", "--model", model_path, "--tokens", "1,x,3") == 1
 
+    @pytest.mark.parametrize(
+        "text", ["[1.7, 2.2]", "[1, true]", "{\"a\": 1}", "[1, 2", "[99999999999999999999]"]
+    )
+    def test_bad_token_file_is_input_error(self, tmp_path, model_path, capsys, text):
+        # non-integers are refused, not truncated; unreadable JSON is refused
+        toks = tmp_path / "toks.json"
+        toks.write_text(text)
+        assert run_cli("run", "--model", model_path, "--tokens", toks) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+GOOD_POLICY = {
+    "fingerprint": "", "lazy_layers": [0], "w_sink": 1, "w_recent": 4,
+    "provenance": "manual",
+}
+
+
+class TestPolicyBoundary:
+    """Each malformed policy file exits 1 with a one-line message."""
+
+    def run_policy(self, tmp_path, model_path, capsys, text):
+        policy = tmp_path / "policy.json"
+        policy.write_text(text)
+        rc = run_cli(
+            "run", "--model", model_path, "--tokens", "1,2,3",
+            "--policy", policy, "--max-new", 1, "--report", tmp_path / "r.json",
+        )
+        err = capsys.readouterr().err
+        return rc, err
+
+    def test_good_policy_runs(self, tmp_path, model_path, capsys):
+        assert self.run_policy(tmp_path, model_path, capsys, json.dumps(GOOD_POLICY))[0] == 0
+
+    @pytest.mark.parametrize("text", ["{\"lazy_layers\": [0", "[1, 2]", "7"])
+    def test_malformed_json_or_non_object(self, tmp_path, model_path, capsys, text):
+        rc, err = self.run_policy(tmp_path, model_path, capsys, text)
+        assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, value", [("w_sink", -3), ("w_recent", 0), ("w_recent", 2.5)]
+    )
+    def test_bad_windows(self, tmp_path, model_path, capsys, field, value):
+        text = json.dumps(dict(GOOD_POLICY, **{field: value}))
+        rc, err = self.run_policy(tmp_path, model_path, capsys, text)
+        assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("layers", [[0, 0], [0, 1.5], "0"])
+    def test_duplicate_or_non_integer_lazy_layers(self, tmp_path, model_path, capsys, layers):
+        text = json.dumps(dict(GOOD_POLICY, lazy_layers=layers))
+        rc, err = self.run_policy(tmp_path, model_path, capsys, text)
+        assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+
+    def test_recent_windows_length_must_match_layers(self, tmp_path, model_path, capsys):
+        # the fixture model has 3 layers
+        text = json.dumps(dict(GOOD_POLICY, recent_windows=[4, 4]))
+        rc, err = self.run_policy(tmp_path, model_path, capsys, text)
+        assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerifyTheory:
     def test_small_run_deterministic_and_green(self, tmp_path):

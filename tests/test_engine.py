@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazykv.engine import (
+    _PREFILL_BLOCK,
+    _PREFILL_TILE,
+    _causal_attention,
+    _causal_tile,
     EngineParams,
     PolicyFile,
     Session,
@@ -16,7 +22,7 @@ from lazykv.errors import ContractViolation, InputError
 from lazykv.kvcache import kept_positions_for
 from lazykv.lazydetect import DetectParams, lazy_ratio_bruteforce
 from lazykv.model import ModelConfig, forward_full, ln, random_init
-from lazykv.numerics import MaskSpec, masked_row_softmax
+from lazykv.numerics import MaskSpec, masked_row_logsumexp, masked_row_softmax
 
 
 def make_model(seed, n_layers=2, n_heads=2, d_model=4, d_head=3, vocab=9, **kw):
@@ -79,6 +85,53 @@ def bruteforce_layer_ratios(tokens, weights, config, detect):
     return ratios
 
 
+@st.composite
+def causal_kernel_case(draw):
+    """Head-stacked q/k/v whose length sits on or around tile boundaries."""
+    tiles = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([
+        1,
+        _PREFILL_TILE - 1,
+        _PREFILL_TILE,
+        _PREFILL_TILE + 1,
+        tiles * _PREFILL_TILE + draw(st.integers(1, _PREFILL_TILE - 1)),
+    ]))
+    h, d_head, d_value = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1.0, 0.5, 1.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0.1, 1.0, 4.0]))
+    q = rng.standard_normal((h, n, d_head)) * spread
+    k = rng.standard_normal((h, n, d_head)) * spread
+    v = rng.standard_normal((h, n, d_value))
+    return q, k, v, scale
+
+
+class TestCausalKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(causal_kernel_case())
+    def test_matches_mask_spec_oracles(self, case):
+        q, k, v, scale = case
+        out, lse = _causal_attention(q, k, v, scale)
+        causal = MaskSpec.causal()
+        for h in range(q.shape[0]):
+            scores = (q[h] @ k[h].T) * scale
+            expect_out = masked_row_softmax(scores, causal) @ v[h]
+            assert np.allclose(out[h], expect_out, atol=1e-12, rtol=0)
+            assert np.allclose(lse[h], masked_row_logsumexp(scores, causal), atol=1e-12, rtol=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(causal_kernel_case(), st.integers(1, 40))
+    def test_tail_tile_lse_equals_kernel_rows(self, case, w_last):
+        # the short-prompt detection tail: one tile over only the last m rows
+        q, k, v, scale = case
+        n = q.shape[1]
+        m = min(w_last, n)
+        _, lse = _causal_attention(q, k, v, scale)
+        out, tail = _causal_tile(q[:, n - m :], k, None, scale, n - m)
+        assert out is None
+        assert np.allclose(tail, lse[:, n - m :], atol=1e-12, rtol=0)
+
+
 class TestPrefill:
     def test_p_equals_l_bit_identical_to_forward_full(self):
         config, weights = make_model(0, n_layers=3)
@@ -116,8 +169,6 @@ class TestPrefill:
 
     def test_blocked_prefill_matches_forward_full_above_threshold(self):
         # prompts longer than the attention row-block still prefill exactly
-        from lazykv.engine import _PREFILL_BLOCK
-
         config, weights = make_model(80, n_layers=1, d_model=8, d_head=4, vocab=17)
         n = _PREFILL_BLOCK + 173
         detect = DetectParams(w_last=4, w_sink=2, w_recent=6, n_full=1)
@@ -126,6 +177,19 @@ class TestPrefill:
         logits, _ = session.prefill(tokens)
         expect = forward_full(tokens, weights, config).logits[-1]
         assert np.allclose(logits, expect, atol=1e-10, rtol=0)
+
+    def test_online_detection_above_threshold_matches_bruteforce(self):
+        # above the threshold the ratios read the tiled kernel's lse rows
+        config, weights = make_model(82, n_layers=3, d_model=8, d_head=4, vocab=17)
+        n = _PREFILL_BLOCK + 173
+        detect = DetectParams(w_last=8, w_sink=2, w_recent=6, n_full=1)
+        tokens = random_prompt(np.random.default_rng(83), config, n)
+        session = Session(weights, config, EngineParams(detect=detect))
+        _, report = session.prefill(tokens)
+        oracle = bruteforce_layer_ratios(tokens, weights, config, detect)
+        assert np.allclose(report.ratios, oracle, atol=1e-10, rtol=0)
+        expect_full = sorted(sorted(range(3), key=lambda i: (oracle[i], i))[:1])
+        assert report.full_layers == expect_full
 
     def test_empty_prompt_rejected(self):
         config, weights = make_model(6)
