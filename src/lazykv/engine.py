@@ -391,18 +391,15 @@ class Session:
     def _kept_mass_of_newest(self, cache: LayerCache, qs) -> float:
         w_sink, w_recent = self.mass_probe
         target = kept_query_positions(cache.total_seen - 1, w_sink, w_recent)
-        held = cache._positions[: cache.size]
-        sel = np.isin(held, target)
-        scale = self.config.score_scale
-        total = 0.0
-        for h in range(cache.n_heads):
-            scores = (qs[h] @ cache.keys(h).T)[0]
-            if scale != 1.0:
-                scores = scores * scale
-            probs = np.exp(scores - scores.max())
-            probs /= probs.sum()
-            total += probs[sel].sum()
-        return total / cache.n_heads
+        keys, _, held = cache.held()
+        # One (H, 1, size) block over the rows in storage order; the
+        # selection reads positions in that same order.
+        scores = np.asarray(qs) @ keys.transpose(0, 2, 1)
+        if self.config.score_scale != 1.0:
+            scores *= self.config.score_scale
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        return float(probs[..., np.isin(held, target)].sum(axis=-1).mean())
 
     def generate_greedy(self, prompt_tokens, max_new_tokens: Optional[int] = None) -> List[int]:
         """Greedy continuation; argmax ties resolve to the smallest token id."""

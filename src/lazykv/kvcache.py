@@ -1,19 +1,30 @@
 """Per-layer key/value storage under a Full or Streaming retention policy.
 
 A streaming cache keeps the first ``w_sink`` positions (attention sinks)
-plus the ``w_recent`` most recent ones, deduplicated, and drops everything
-else eagerly on every append, so its row count never exceeds
-``w_sink + w_recent``. Eviction is irreversible: the recent window only
-slides forward, so a dropped position can never be needed again.
+plus the ``w_recent`` most recent ones, deduplicated. Its buffers hold at
+most ``w_sink + w_recent`` rows, laid out as in StreamingLLM: position
+``p`` lives in slot ``p`` if ``p < w_sink``, else in slot
+``w_sink + (p - w_sink) % w_recent``. The sinks stay put and the recent
+window is a ring, so a one-token append overwrites the one slot whose
+position just left the window and moves nothing else. Eviction is
+irreversible: the recent window only slides forward, so a dropped position
+can never be needed again. A full cache stores position ``p`` in row ``p``.
 
-Buffers grow geometrically so that appending one token during decode is
-amortized O(1) even for full caches.
+Because the slot depends only on the position, every path that holds the
+same positions (online, static replay, full-then-transfer) has the same
+physical layout. Attention runs over the rows in that storage order: the
+softmax over keys does not depend on their order, and multi-row queries
+mask by held position. ``kept_positions``, ``keys`` and ``values`` return
+rows in position order.
+
+K/V are stacked over heads, ``(n_heads, rows, d)``. Full buffers grow
+geometrically, so appending one token during decode is amortized O(1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +79,12 @@ def kept_positions_for(total_seen: int, w_sink: int, w_recent: int) -> np.ndarra
 
 
 class LayerCache:
-    """Key/value rows for one layer, one row per retained token position."""
+    """Key/value rows for one layer, one row per retained token position.
+
+    ``_k``/``_v`` are ``(n_heads, capacity, d)`` and ``_pos`` is
+    ``(capacity,)``; rows ``[:size]`` are held, each in the slot the module
+    docstring gives for its position.
+    """
 
     def __init__(self, n_heads: int, d_key: int, d_value: int, policy: CachePolicy):
         self.n_heads = n_heads
@@ -77,42 +93,53 @@ class LayerCache:
         self.policy = policy
         self.total_seen = 0
         self._size = 0
-        self._capacity = 0
-        self._keys: List[np.ndarray] = [np.empty((0, d_key)) for _ in range(n_heads)]
-        self._values: List[np.ndarray] = [np.empty((0, d_value)) for _ in range(n_heads)]
-        self._positions = np.empty(0, dtype=np.int64)
+        self._k = np.empty((n_heads, 0, d_key))
+        self._v = np.empty((n_heads, 0, d_value))
+        self._pos = np.empty(0, dtype=np.int64)
 
     @property
     def size(self) -> int:
         return self._size
 
+    def held(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of the held rows in storage order: keys ``(H, size, d_key)``,
+        values ``(H, size, d_value)`` and positions ``(size,)``. Once a
+        streaming cache wraps, storage order is not position order."""
+        n = self._size
+        return self._k[:, :n], self._v[:, :n], self._pos[:n]
+
+    def _order(self) -> np.ndarray:
+        return np.argsort(self._pos[: self._size])
+
     @property
     def kept_positions(self) -> np.ndarray:
-        return self._positions[: self._size].copy()
+        return self._pos[self._order()]
 
     def keys(self, head: int) -> np.ndarray:
-        return self._keys[head][: self._size]
+        return self._k[head, self._order()]
 
     def values(self, head: int) -> np.ndarray:
-        return self._values[head][: self._size]
+        return self._v[head, self._order()]
 
-    def _ensure_capacity(self, needed: int) -> None:
-        if needed <= self._capacity:
+    def _reserve(self, rows: int) -> None:
+        """Make room for ``rows`` rows. Only unwrapped layouts grow, where
+        slot equals position, so the held rows copy over as they are."""
+        cap = self._pos.size
+        if rows <= cap:
             return
-        cap = max(needed, _MIN_CAPACITY, int(self._capacity * _GROWTH))
-        for h in range(self.n_heads):
-            k = np.empty((cap, self.d_key))
-            v = np.empty((cap, self.d_value))
-            k[: self._size] = self._keys[h][: self._size]
-            v[: self._size] = self._values[h][: self._size]
-            self._keys[h], self._values[h] = k, v
+        cap = max(rows, _MIN_CAPACITY, int(cap * _GROWTH))
+        if self.policy.kind == "streaming":
+            cap = min(cap, self.policy.w_sink + self.policy.w_recent)
+        n = self._size
+        k = np.empty((self.n_heads, cap, self.d_key))
+        v = np.empty((self.n_heads, cap, self.d_value))
         pos = np.empty(cap, dtype=np.int64)
-        pos[: self._size] = self._positions[: self._size]
-        self._positions = pos
-        self._capacity = cap
+        k[:, :n], v[:, :n], pos[:n] = self._k[:, :n], self._v[:, :n], self._pos[:n]
+        self._k, self._v, self._pos = k, v, pos
 
     def append(self, new_keys: Sequence[np.ndarray], new_values: Sequence[np.ndarray]) -> None:
-        """Add K/V rows for the next tokens, then re-evict to the window."""
+        """Add K/V rows for the next tokens, writing only the rows the
+        retention window keeps."""
         if len(new_keys) != self.n_heads or len(new_values) != self.n_heads:
             raise ContractViolation(
                 f"expected {self.n_heads} heads of K/V rows, got "
@@ -125,44 +152,58 @@ class LayerCache:
                     f"K/V row widths must be ({self.d_key}, {self.d_value}); "
                     f"got {k.shape}, {v.shape}"
                 )
-        self._ensure_capacity(self._size + t)
-        for h in range(self.n_heads):
-            self._keys[h][self._size : self._size + t] = new_keys[h]
-            self._values[h][self._size : self._size + t] = new_values[h]
-        self._positions[self._size : self._size + t] = np.arange(
-            self.total_seen, self.total_seen + t, dtype=np.int64
-        )
-        self._size += t
-        self.total_seen += t
-        if self.policy.kind == "streaming":
-            self._evict()
-
-    def _evict(self) -> None:
-        target = kept_positions_for(
-            self.total_seen, self.policy.w_sink, self.policy.w_recent
-        )
-        if target.size == self._size:
-            return
-        held = self._positions[: self._size]
-        rows = np.searchsorted(held, target)
-        # The window only slides forward, so every target row must be held.
-        if rows.size and (rows[-1] >= held.size or not np.array_equal(held[rows], target)):
-            raise ContractViolation("retention window requested an evicted position")
-        for h in range(self.n_heads):
-            self._keys[h][: target.size] = self._keys[h][rows]
-            self._values[h][: target.size] = self._values[h][rows]
-        self._positions[: target.size] = target
-        self._size = target.size
+        start = self.total_seen
+        stop = start + t
+        if self.policy.kind == "full":
+            size = stop
+            runs = [(start, stop, start)]
+        else:
+            w_sink, w_recent = self.policy.w_sink, self.policy.w_recent
+            size = min(stop, w_sink + w_recent)
+            runs = [(start, min(stop, w_sink), start)] if start < w_sink else []
+            # Survivors past the sinks fill consecutive ring slots, wrapping
+            # at most once because there are at most w_recent of them.
+            lo = max(start, w_sink, stop - w_recent)
+            while lo < stop:
+                slot = w_sink + (lo - w_sink) % w_recent
+                hi = min(stop, lo + w_sink + w_recent - slot)
+                runs.append((lo, hi, slot))
+                lo = hi
+        self._reserve(size)
+        # Per head, so a long prompt is never stacked into a temporary copy.
+        for lo, hi, slot in runs:
+            rows, dst = slice(lo - start, hi - start), slice(slot, slot + hi - lo)
+            for h in range(self.n_heads):
+                self._k[h, dst] = new_keys[h][rows]
+                self._v[h, dst] = new_values[h][rows]
+            self._pos[dst] = np.arange(lo, hi)
+        self.total_seen = stop
+        self._size = size
 
     def transfer_to_streaming(self, w_sink: int, w_recent: int) -> None:
         """Switch a full cache to streaming, dropping middle rows in one step.
+
+        A transfer that drops nothing keeps the buffers: slot equals
+        position until the window first fills. One that drops rows gathers
+        the kept ones into new buffers of exactly ``w_sink + w_recent``
+        rows, so the full buffers are freed.
 
         Idempotent: calling it on a cache that already streams is a no-op.
         """
         if self.policy.kind == "streaming":
             return
         self.policy = CachePolicy.streaming(w_sink, w_recent)
-        self._evict()
+        if self.total_seen <= w_sink + w_recent:
+            return
+        target = kept_positions_for(self.total_seen, w_sink, w_recent)
+        held = self._pos[: self._size]
+        # A full cache holds position p in row p; check before gathering.
+        if target[-1] >= held.size or not np.array_equal(held[target], target):
+            raise ContractViolation("retention window requested an evicted position")
+        rows = np.empty(target.size, dtype=np.int64)
+        rows[np.where(target < w_sink, target, w_sink + (target - w_sink) % w_recent)] = target
+        self._k, self._v, self._pos = self._k[:, rows], self._v[:, rows], self._pos[rows]
+        self._size = target.size
 
 
 @dataclass
@@ -205,6 +246,8 @@ def attend_from_cache(
     Query row j is taken to sit at absolute position
     ``total_seen - n_q + j``; it may only attend to kept positions at or
     before that. Equals full causal attention restricted to the kept set.
+    All heads are scored as one ``(H, n_q, size)`` block over the rows in
+    storage order.
     """
     if cache.size == 0:
         raise ContractViolation("cannot attend from an empty cache")
@@ -217,19 +260,17 @@ def attend_from_cache(
         raise ContractViolation(
             f"query count {n_q} outside 1..{cache.total_seen}"
         )
-    scale = config.score_scale
-    held = cache._positions[: cache.size]
+    keys, values, held = cache.held()
+    scores = np.asarray(queries) @ keys.transpose(0, 2, 1)
+    if config.score_scale != 1.0:
+        scores *= config.score_scale
 
     if n_q == 1:
         # Newest position sees every kept row; skip the mask entirely.
-        out = np.zeros((1, cache.d_value))
-        for h in range(cache.n_heads):
-            scores = queries[h] @ cache.keys(h).T
-            if scale != 1.0:
-                scores = scores * scale
-            expd = np.exp(scores - scores.max())
-            out += (expd / expd.sum()) @ cache.values(h)
-        return out
+        scores -= scores.max(axis=-1, keepdims=True)
+        probs = np.exp(scores, out=scores)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        return (probs @ values).sum(axis=0)
 
     q_pos = np.arange(cache.total_seen - n_q, cache.total_seen, dtype=np.int64)
     allowed = held[None, :] <= q_pos[:, None]
@@ -237,11 +278,6 @@ def attend_from_cache(
         raise ContractViolation(
             "a query position has no cached rows at or before it"
         )
-    out = np.zeros((n_q, cache.d_value))
-    for h in range(cache.n_heads):
-        scores = queries[h] @ cache.keys(h).T
-        if scale != 1.0:
-            scores = scores * scale
-        _, expd, sums = _masked_max_and_expsum(scores, allowed)
-        out += (expd / sums[:, None]) @ cache.values(h)
-    return out
+    _, probs, sums = _masked_max_and_expsum(scores, allowed)
+    probs /= sums[..., None]
+    return (probs @ values).sum(axis=0)

@@ -338,6 +338,19 @@ def save_model(path, config: ModelConfig, weights: Weights, seed: Optional[int] 
             f.write(np.ascontiguousarray(m, dtype=_BLOB_DTYPE).tobytes())
 
 
+# Architecture fields of the model header and the JSON type each must have.
+_HEADER_FIELDS = {
+    "n_layers": int,
+    "n_heads": int,
+    "d_model": int,
+    "d_head": int,
+    "vocab_size": int,
+    "activation": str,
+    "ln_mode": str,
+    "logit_scaling": str,
+}
+
+
 def load_model(path) -> Tuple[ModelConfig, Weights, Optional[int]]:
     with open(path, "rb") as f:
         header_line = f.readline()
@@ -346,20 +359,19 @@ def load_model(path) -> Tuple[ModelConfig, Weights, Optional[int]]:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"unreadable model header in {path}: {exc}") from exc
-    if header.get("format") != "lazykv-model":
+    if not isinstance(header, dict) or header.get("format") != "lazykv-model":
         raise InputError(f"{path} is not a lazykv model file")
     if header.get("dtype") != "f64" or header.get("byte_order") != "little-endian":
         raise InputError("unsupported model dtype or byte order")
-    config = ModelConfig(
-        n_layers=header["n_layers"],
-        n_heads=header["n_heads"],
-        d_model=header["d_model"],
-        d_head=header["d_head"],
-        vocab_size=header["vocab_size"],
-        activation=header["activation"],
-        ln_mode=header["ln_mode"],
-        logit_scaling=header["logit_scaling"],
-    )
+    for name, kind in _HEADER_FIELDS.items():
+        if name not in header:
+            raise InputError(f"model header lacks {name!r}")
+        value = header[name]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise InputError(
+                f"model header field {name!r} must be {kind.__name__}, got {value!r}"
+            )
+    config = ModelConfig(**{name: header[name] for name in _HEADER_FIELDS})
     L, H, d, dk, v = (
         config.n_layers,
         config.n_heads,

@@ -194,6 +194,35 @@ class TestPolicyBoundary:
         assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
 
 
+class TestModelHeader:
+    """A missing or mistyped architecture field exits 1 with a one-line message."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_layers", None), ("d_model", "3"), ("n_layers", True), ("ln_mode", 1)],
+    )
+    def test_bad_architecture_field(self, tmp_path, capsys, field, value):
+        # one layer and one head, so a bool read as 1 would fit the blob
+        path = tmp_path / "model.lazykv"
+        assert run_cli(
+            "gen-model", "--layers", 1, "--heads", 1, "--dim", 3, "--dk", 2,
+            "--vocab", 5, "--seed", 0, "--scale", 0.5, "--out", path,
+        ) == 0
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        if value is None:
+            del header[field]
+        else:
+            header[field] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        capsys.readouterr()
+        rc = run_cli("run", "--model", path, "--tokens", "1,2,3", "--max-new", 1,
+                     "--report", tmp_path / "r.json")
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+        assert field in err
+
+
 class TestVerifyTheory:
     def test_small_run_deterministic_and_green(self, tmp_path):
         r1, r2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -21,7 +21,7 @@ from lazykv.engine import (
 from lazykv.errors import ContractViolation, InputError
 from lazykv.kvcache import kept_positions_for
 from lazykv.lazydetect import DetectParams, lazy_ratio_bruteforce
-from lazykv.model import ModelConfig, forward_full, ln, random_init
+from lazykv.model import ModelConfig, block_forward, forward_full, ln, random_init
 from lazykv.numerics import MaskSpec, masked_row_logsumexp, masked_row_softmax
 
 
@@ -41,8 +41,6 @@ def random_prompt(rng, config, n):
 def masked_forward_logits(tokens, weights, config, layer_allowed):
     """From-scratch forward using explicit per-layer allowed sets."""
     x = weights.embedding[np.asarray(tokens, dtype=np.int64)]
-    from lazykv.model import block_forward
-
     for layer in range(config.n_layers):
         mask = MaskSpec.lazy_set(layer_allowed[layer])
         _, x = block_forward(x, layer, weights, mask, config)
@@ -391,6 +389,47 @@ class TestReplay:
             assert np.array_equal(static.decode_step(t), expect)
 
 
+@st.composite
+def replay_case(draw):
+    n_layers = draw(st.integers(1, 4))
+    w_sink, w_recent = draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    return dict(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_layers=n_layers,
+        n_heads=draw(st.integers(1, 3)),
+        detect=DetectParams(
+            w_last=draw(st.integers(1, 4)), w_sink=w_sink, w_recent=w_recent,
+            n_full=draw(st.integers(0, n_layers - 1)),
+        ),
+        n_prompt=draw(st.integers(1, 24)),
+        # enough steps that every lazy layer's ring wraps at least once
+        n_steps=w_sink + 2 * w_recent,
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(replay_case())
+def test_static_replay_of_random_online_runs_is_bitwise(case):
+    config, weights = make_model(case["seed"], n_layers=case["n_layers"],
+                                 n_heads=case["n_heads"])
+    detect = case["detect"]
+    rng = np.random.default_rng(case["seed"])
+    prompt = random_prompt(rng, config, case["n_prompt"])
+    tokens = random_prompt(rng, config, case["n_steps"])
+
+    online = Session(weights, config, EngineParams(detect=detect))
+    online.prefill(prompt)
+    online_logits = [online.decode_step(t) for t in tokens]
+    policy = PolicyFile(
+        fingerprint="", lazy_layers=online.report.lazy_layers,
+        w_sink=detect.w_sink, w_recent=detect.w_recent, provenance="online",
+    )
+    static = Session(weights, config, EngineParams(detect=detect, policy=policy))
+    static.prefill(prompt)
+    for t, expect in zip(tokens, online_logits):
+        assert np.array_equal(static.decode_step(t), expect)
+
+
 class TestMassProbe:
     def test_decode_masses_match_forward_trace_oracle(self):
         config, weights = make_model(70, n_layers=3, logit_scaling="none")
@@ -422,6 +461,40 @@ class TestMassProbe:
                 assert session.mass_trace[step][layer] == pytest.approx(
                     float(np.mean(masses)), abs=1e-10
                 )
+
+    def test_decode_masses_follow_the_ring_on_lazy_layers(self):
+        # 12 prompt rows and 10 steps wrap the 1 + 4 ring twice on the lazy
+        # layers; the probe's own window (1 + 2) is a strict subset of it.
+        config, weights = make_model(72, n_layers=3, logit_scaling="none")
+        w_sink, w_recent = 1, 4
+        detect = DetectParams(w_last=2, w_sink=w_sink, w_recent=w_recent, n_full=1)
+        session = Session(weights, config, EngineParams(detect=detect))
+        session.mass_probe = (1, 2)
+        rng = np.random.default_rng(73)
+        prompt = random_prompt(rng, config, 12)
+        session.prefill(prompt)
+        lazy = session.report.lazy_layers
+        assert lazy
+        seq = list(prompt)
+        for step in range(10):
+            t = int(rng.integers(0, config.vocab_size))
+            session.decode_step(t)
+            seq.append(t)
+            allowed = hybrid_allowed_sets(len(seq), prompt.size, lazy, config, w_sink, w_recent)
+            target = kept_positions_for(len(seq), 1, 2)
+            x = weights.embedding[np.asarray(seq)]
+            for layer in range(config.n_layers):
+                x_norm = ln(x, config.ln_mode)
+                held = allowed[layer][-1]
+                masses = []
+                for h in range(config.n_heads):
+                    s = (x_norm[-1] @ weights.w_q[layer, h]) @ (x_norm[held] @ weights.w_k[layer, h]).T
+                    e = np.exp(s - s.max())
+                    masses.append((e / e.sum())[np.isin(held, target)].sum())
+                assert session.mass_trace[step][layer] == pytest.approx(
+                    float(np.mean(masses)), abs=1e-10
+                )
+                _, x = block_forward(x, layer, weights, MaskSpec.lazy_set(allowed[layer]), config)
 
 
 class TestPolicies:

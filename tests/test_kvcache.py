@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazykv.errors import ContractViolation
 from lazykv.kvcache import (
@@ -9,10 +11,11 @@ from lazykv.kvcache import (
     LayerCache,
     MemoryMeter,
     attend_from_cache,
+    kept_positions_for,
     memory_stats,
 )
 from lazykv.model import ModelConfig, ln, mha_forward, project_qkv, random_init
-from lazykv.numerics import MaskSpec
+from lazykv.numerics import MaskSpec, masked_row_softmax
 
 
 def kept_oracle(total, w_sink, w_recent):
@@ -103,6 +106,26 @@ class TestTransfer:
         cache.transfer_to_streaming(2, 5)
         assert cache.kept_positions.tolist() == kept
         assert np.array_equal(cache.keys(0), keys)
+
+
+    @pytest.mark.parametrize("prompt", [20, 6])
+    def test_decode_appends_reuse_the_streaming_buffers(self, prompt):
+        # 20 rows evict on transfer, 6 rows fit the 2 + 5 window
+        w_sink, w_recent = 2, 5
+        rng = np.random.default_rng(7)
+        cache = LayerCache(2, 3, 4, CachePolicy.full())
+        fill_cache(cache, rng, prompt)
+        before = cache._k, cache._v
+        cache.transfer_to_streaming(w_sink, w_recent)
+        buffers = cache._k, cache._v
+        if prompt > w_sink + w_recent:
+            assert all(b.shape[1] == w_sink + w_recent for b in buffers)
+        else:
+            assert buffers[0] is before[0] and buffers[1] is before[1]
+        for _ in range(3 * w_recent):
+            fill_cache(cache, rng, 1)
+            assert cache._k is buffers[0] and cache._v is buffers[1]
+        assert cache.size == w_sink + w_recent
 
 
 class TestAttendFromCache:
@@ -253,3 +276,78 @@ class TestProperties:
                     b.append(row_k, row_v)
             assert a.kept_positions.tolist() == b.kept_positions.tolist()
             assert np.array_equal(a.keys(0), b.keys(0))
+
+
+@st.composite
+def cache_script(draw):
+    """Random multi-row appends on a full or streaming cache, with an
+    optional transfer of a full cache to streaming before some append."""
+    w_recent = draw(st.integers(1, 6))
+    return dict(
+        n_heads=draw(st.integers(1, 3)),
+        w_sink=draw(st.integers(0, 4)),
+        w_recent=w_recent,
+        streaming=draw(st.booleans()),
+        appends=draw(st.lists(st.integers(1, 2 * w_recent + 3), min_size=1, max_size=10)),
+        transfer_at=draw(st.integers(0, 10)),
+        logit_scaling=draw(st.sampled_from(["none", "inv_sqrt_dk"])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def check_against_appended_rows(cache, all_k, all_v, rng, logit_scaling):
+    """Contents in position order equal the appended rows, and attention
+    matches a masked-softmax oracle over those rows for n_q = 1 and n_q > 1."""
+    total = cache.total_seen
+    pol = cache.policy
+    if pol.kind == "streaming":
+        kept = kept_positions_for(total, pol.w_sink, pol.w_recent)
+    else:
+        kept = np.arange(total)
+    assert np.array_equal(cache.kept_positions, kept)
+    assert cache.size == kept.size
+    for h in range(cache.n_heads):
+        assert np.array_equal(cache.keys(h), all_k[h][kept])
+        assert np.array_equal(cache.values(h), all_v[h][kept])
+
+    config = ModelConfig(
+        n_layers=1, n_heads=cache.n_heads, d_model=cache.d_value, d_head=cache.d_key,
+        vocab_size=2, logit_scaling=logit_scaling,
+    )
+    scale = config.score_scale
+    # every query position must see some kept row at or before it
+    for n_q in sorted({1, total - int(kept[0])}):
+        qs = [rng.standard_normal((n_q, cache.d_key)) for _ in range(cache.n_heads)]
+        q_pos = np.arange(total - n_q, total)
+        mask = MaskSpec.lazy_set([np.flatnonzero(kept <= p) for p in q_pos])
+        expect = sum(
+            masked_row_softmax((qs[h] @ all_k[h][kept].T) * scale, mask) @ all_v[h][kept]
+            for h in range(cache.n_heads)
+        )
+        got = attend_from_cache(cache, qs, config)
+        assert np.allclose(got, expect, atol=1e-12, rtol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cache_script())
+def test_random_appends_keep_the_window_contents(script):
+    rng = np.random.default_rng(script["seed"])
+    d_key, d_value, n_heads = 2, 4, script["n_heads"]
+    w_sink, w_recent = script["w_sink"], script["w_recent"]
+    policy = (
+        CachePolicy.streaming(w_sink, w_recent) if script["streaming"] else CachePolicy.full()
+    )
+    cache = LayerCache(n_heads, d_key, d_value, policy)
+    all_k = np.empty((n_heads, 0, d_key))
+    all_v = np.empty((n_heads, 0, d_value))
+    for i, t in enumerate(script["appends"] + [0]):
+        if i == script["transfer_at"] and not script["streaming"]:
+            cache.transfer_to_streaming(w_sink, w_recent)
+            if cache.total_seen:
+                check_against_appended_rows(cache, all_k, all_v, rng, script["logit_scaling"])
+        if t == 0:
+            break
+        ks, vs = fill_cache(cache, rng, t)
+        all_k = np.concatenate([all_k, np.stack(ks)], axis=1)
+        all_v = np.concatenate([all_v, np.stack(vs)], axis=1)
+        check_against_appended_rows(cache, all_k, all_v, rng, script["logit_scaling"])
