@@ -64,8 +64,11 @@ __all__ = [
 
 # Prompt length above which prefill attention runs on the tiled causal
 # kernel. At or below it the unblocked model path is used, which keeps
-# small-prompt prefill bit-identical to forward_full.
-_PREFILL_BLOCK = 1024
+# small-prompt prefill bit-identical to forward_full. With one BLAS thread
+# the kernel is the faster one from 256 tokens up, 3-4x at 1024, where the
+# unblocked path builds and pages in an 8 MB score matrix per head; so the
+# bound is no higher than the exact-match guarantee needs.
+_PREFILL_BLOCK = 512
 # Query rows per tile of the causal kernel.
 _PREFILL_TILE = 128
 
@@ -559,49 +562,53 @@ def identification_overhead(
     """Prefill wall-clock with online detection vs. without, per length.
 
     Per length, ``warmup`` untimed pairs run first (cold allocator and code
-    paths would otherwise penalize whichever variant runs first). The two
-    variants then strictly alternate, one (without, with) pair at a time;
-    short prefills run enough pairs to span at least ``min_span_seconds``
-    per variant and repeat. ``reduce`` picks the noise model: "median"
-    takes the median of per-pair ratios (the members of a pair execute back
-    to back and share machine conditions, so polluted pairs drop out),
-    while "min" divides the per-side minima (machine noise only ever adds
-    time, so each side's floor is its unpolluted cost).
+    paths would otherwise penalize whichever variant runs first). Timing
+    then goes in blocks of two back-to-back pairs, (without, with) and then
+    (with, without). A fixed order biases the ratio by the position in the
+    pair: on the criterion-8 model at 1024 tokens, detection measured +4%
+    when it ran first and -7% when it ran second. Short prefills run
+    enough blocks to span at least ``min_span_seconds`` per variant and
+    repeat. Sessions are built outside the timed spans.
+    ``reduce`` picks the noise model: "median" takes the median of
+    per-block ratios (a block executes back to back and shares machine
+    conditions, so polluted blocks drop out), while "min" divides the
+    per-side minima (machine noise only ever adds time, so each side's
+    floor is its unpolluted cost).
     """
     if reduce not in ("median", "min"):
         raise InputError(f"reduce must be 'median' or 'min', got {reduce!r}")
     summarize = np.median if reduce == "median" else np.min
+    variants = (baseline_params(detect), EngineParams(detect=detect))
     results = {}
     for length in sorted(prompts):
         tokens = prompts[length]
         est = None
         for _ in range(max(warmup, 1)):
-            Session(weights, config, baseline_params(detect)).prefill(tokens)
+            Session(weights, config, variants[0]).prefill(tokens)
+            s = Session(weights, config, variants[1])
             t0 = time.perf_counter()
-            Session(weights, config, EngineParams(detect=detect)).prefill(tokens)
+            s.prefill(tokens)
             est = time.perf_counter() - t0
-        inner = max(1, min(64, int(np.ceil(min_span_seconds / max(est, 1e-9)))))
+        inner = max(1, min(32, int(np.ceil(min_span_seconds / max(2 * est, 1e-9)))))
 
-        with_det: List[float] = []
-        without: List[float] = []
+        # times[v] holds variant v's runs, two per block; v = 1 detects.
+        times: Tuple[List[float], List[float]] = ([], [])
         for _ in range(repeats * inner):
-            s = Session(weights, config, baseline_params(detect))
-            t0 = time.perf_counter()
-            s.prefill(tokens)
-            t1 = time.perf_counter()
-            s = Session(weights, config, EngineParams(detect=detect))
-            s.prefill(tokens)
-            t2 = time.perf_counter()
-            without.append(t1 - t0)
-            with_det.append(t2 - t1)
+            for v in (0, 1, 1, 0):
+                s = Session(weights, config, variants[v])
+                t0 = time.perf_counter()
+                s.prefill(tokens)
+                times[v].append(time.perf_counter() - t0)
+        without, with_det = np.asarray(times[0]), np.asarray(times[1])
         if reduce == "median":
-            ratio = float(np.median([w / wo for w, wo in zip(with_det, without)]))
+            blocks = with_det.reshape(-1, 2).sum(axis=1) / without.reshape(-1, 2).sum(axis=1)
+            ratio = float(np.median(blocks))
         else:
             ratio = float(np.min(with_det) / np.min(without))
         results[length] = {
             "prefill_s_with_detection": float(summarize(with_det)),
             "prefill_s_without_detection": float(summarize(without)),
-            "pairs": repeats * inner,
+            "pairs": len(without),
             "ratio": ratio,
             "relative_slowdown": ratio - 1.0,
         }

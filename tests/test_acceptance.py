@@ -1,8 +1,12 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-Criteria 7 and 8 are wall-clock measurements; they use burst medians,
-interleaved repeats, min-of-repeats reduction, and a paused garbage
-collector to keep in-process noise out of the direction checks. Run with
+Criteria 7 and 8 are wall-clock measurements. Criterion 7 takes the
+medians of many short decode bursts, interleaved over every configuration
+and prompt length, and keeps each session's min. Criterion 8 takes the
+median of per-block ratios, each block being back-to-back (without, with,
+with, without) prefills. Both pause the garbage collector to keep
+in-process noise out of the direction checks, and the repository's
+conftest pins BLAS to one thread. Run with
 ``pytest -s`` to see the per-criterion lines.
 """
 
@@ -232,36 +236,41 @@ def test_criterion_06_theorem_and_lemma_oracles():
 BENCH_LENGTHS = (1024, 2048, 4096, 8192)
 
 
-def _decode_step_seconds(weights, config, configs_lazy, prompt, detect,
-                         bursts=8, steps=100, warmup=6):
-    """Per config: min over interleaved bursts of the median step time.
+def _decode_step_seconds(weights, config, configs_lazy, prompts, detect,
+                         bursts=32, steps=25, warmup=6):
+    """Per (config, length): min over interleaved bursts of the median step time.
 
-    Bursts of the different cache configurations alternate so that any
-    noisy scheduling window degrades all of them alike; the min then picks
-    each configuration's cleanest burst.
+    Bursts of every cache configuration at every prompt length alternate,
+    so any noisy scheduling window degrades all of them alike and a slow
+    stretch of the machine cannot pose as growth with the length. The
+    bursts are many and short so that each session is sampled at many
+    moments: a loaded host runs slow (by about 1.5x) for stretches long
+    enough to cover a few long bursts of one session. The min then picks
+    each session's cleanest burst.
     """
     sessions = {}
-    for name, lazy_layers in configs_lazy.items():
-        policy = PolicyFile(
-            fingerprint="", lazy_layers=list(lazy_layers), w_sink=detect.w_sink,
-            w_recent=detect.w_recent, provenance="manual",
-        )
-        s = Session(weights, config, EngineParams(detect=detect, policy=policy))
-        s.prefill(prompt)
-        tok = 1
-        for _ in range(warmup):
-            tok = int(np.argmax(s.decode_step(tok)))
-        sessions[name] = s
-    medians = {name: [] for name in sessions}
+    for n, prompt in prompts.items():
+        for name, lazy_layers in configs_lazy.items():
+            policy = PolicyFile(
+                fingerprint="", lazy_layers=list(lazy_layers), w_sink=detect.w_sink,
+                w_recent=detect.w_recent, provenance="manual",
+            )
+            s = Session(weights, config, EngineParams(detect=detect, policy=policy))
+            s.prefill(prompt)
+            tok = 1
+            for _ in range(warmup):
+                tok = int(np.argmax(s.decode_step(tok)))
+            sessions[name, n] = s
+    medians = {key: [] for key in sessions}
     with quiet_gc():
         for _ in range(bursts):
-            for name, s in sessions.items():
+            for key, s in sessions.items():
                 s.decode_seconds.clear()
                 tok = 1
                 for _ in range(steps):
                     tok = int(np.argmax(s.decode_step(tok)))
-                medians[name].append(float(np.median(s.decode_seconds)))
-    return {name: min(vals) for name, vals in medians.items()}
+                medians[key].append(float(np.median(s.decode_seconds)))
+    return {key: min(vals) for key, vals in medians.items()}
 
 
 def test_criterion_07_decode_cost_scaling():
@@ -273,13 +282,10 @@ def test_criterion_07_decode_cost_scaling():
     weights = random_init(config, 107, 0.3)
     detect = DetectParams(w_last=16, w_sink=4, w_recent=60, n_full=1)
     rng = np.random.default_rng(107)
-    times = {"stream": [], "hybrid": [], "full": []}
     configs_lazy = {"stream": [0, 1], "hybrid": [0], "full": []}
-    for n in BENCH_LENGTHS:
-        prompt = rng.integers(0, config.vocab_size, size=n)
-        at_n = _decode_step_seconds(weights, config, configs_lazy, prompt, detect)
-        for name in times:
-            times[name].append(at_n[name])
+    prompts = {n: rng.integers(0, config.vocab_size, size=n) for n in BENCH_LENGTHS}
+    at = _decode_step_seconds(weights, config, configs_lazy, prompts, detect)
+    times = {name: [at[name, n] for n in BENCH_LENGTHS] for name in configs_lazy}
 
     ns = np.asarray(BENCH_LENGTHS, dtype=float)
     stream = np.asarray(times["stream"])
@@ -316,7 +322,7 @@ def test_criterion_08_identification_overhead():
     prompts = {n: rng.integers(0, config.vocab_size, size=n) for n in lengths}
     with quiet_gc():
         results = identification_overhead(
-            weights, config, prompts, detect, repeats=4, warmup=1, reduce="min"
+            weights, config, prompts, detect, repeats=4, warmup=1, reduce="median"
         )
     slow = [results[n]["relative_slowdown"] for n in lengths]
     assert slow[lengths.index(4096)] <= 0.10, f"4K slowdown {slow}"
