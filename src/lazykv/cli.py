@@ -11,7 +11,9 @@ Subcommands:
 
 Every command emits JSON (stdout or --report). Exit codes: 0 success,
 1 bad input, 2 verification or internal-contract failure. Set
-LAZYKV_THREADS to cap BLAS parallelism.
+LAZYKV_THREADS to cap BLAS parallelism. ``bench`` times with one BLAS
+thread unless LAZYKV_THREADS says otherwise: on a small shared machine a
+thread pool makes its timings depend on what the neighbours run.
 """
 
 from __future__ import annotations
@@ -24,8 +26,11 @@ import sys
 import time
 
 
-def _cap_threads() -> None:
-    cap = os.environ.get("LAZYKV_THREADS")
+def _cap_threads(default=None) -> None:
+    """Fan LAZYKV_THREADS (or ``default`` when it is unset) out to the BLAS
+    thread variables; a no-op when neither is given. Must run before numpy
+    is first imported."""
+    cap = os.environ.get("LAZYKV_THREADS") or default
     if not cap:
         return
     for var in (
@@ -72,8 +77,19 @@ def _parse_tokens(spec: str):
         raise InputError(f"token id out of range: {exc}") from exc
 
 
-def _parse_int_list(spec: str):
-    return [int(x) for x in spec.split(",") if x != ""]
+def _parse_int_list(spec: str, flag: str, minimum=None):
+    """A non-empty comma list of integers, each at least ``minimum``."""
+    from .errors import InputError
+
+    try:
+        values = [int(x) for x in spec.split(",") if x != ""]
+    except ValueError as exc:
+        raise InputError(f"{flag} must be a comma list of integers: {exc}") from exc
+    if not values:
+        raise InputError(f"{flag} names no integers: {spec!r}")
+    if minimum is not None and min(values) < minimum:
+        raise InputError(f"{flag} values must be >= {minimum}, got {min(values)}")
+    return values
 
 
 def _default_p(n_layers: int, p_arg) -> int:
@@ -206,11 +222,16 @@ def cmd_bench(args) -> int:
     import numpy as np
 
     from .engine import EngineParams, baseline_params, identification_overhead
+    from .errors import InputError
     from .model import load_model
 
+    # The report takes medians over runs and over decode steps.
+    for flag, value in (("--repeats", args.repeats), ("--max-new", args.max_new)):
+        if value < 1:
+            raise InputError(f"{flag} must be >= 1, got {value}")
+    lengths = _parse_int_list(args.lengths, "--lengths", minimum=1)
     config, weights, _ = load_model(args.model)
     detect = _detect_from_args(args, config.n_layers)
-    lengths = _parse_int_list(args.lengths)
     rng = np.random.default_rng(args.seed)
     prompts = {
         n: rng.integers(0, config.vocab_size, size=n) for n in lengths
@@ -285,7 +306,7 @@ def cmd_analyze(args) -> int:
 
     config, weights, _ = load_model(args.model)
     tokens = _parse_tokens(args.tokens)
-    sweep = sorted(set(_parse_int_list(args.w_last_sweep)))
+    sweep = sorted(set(_parse_int_list(args.w_last_sweep, "--w-last-sweep", minimum=1)))
     detect = DetectParams(
         w_last=max(sweep),
         w_sink=args.w_sink,
@@ -365,7 +386,7 @@ def cmd_make_policy(args) -> int:
             layer_range = (int(lo), int(hi))
         except ValueError as exc:
             raise InputError(f"--range must be lo:hi, got {args.range!r}") from exc
-    manual = _parse_int_list(args.layers) if args.layers else None
+    manual = _parse_int_list(args.layers, "--layers") if args.layers else None
     policy = make_policy(
         args.strategy,
         config,
@@ -471,9 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Parsing imports no numpy, so the cap still reaches BLAS.
+    _cap_threads("1" if args.command == "bench" else None)
     from .errors import ContractViolation, InputError
 
     try:

@@ -2,14 +2,15 @@
 
 Prefill always computes exact full-causal attention for every layer, so
 prefill logits match the plain model; what varies is cache retention
-afterwards. Up to ``_PREFILL_BLOCK`` prompt tokens the model's own attention
-path is shared outright, so logits are bit-identical to forward_full.
-Longer prompts run on a tiled causal kernel over head-stacked arrays that
-also returns every row's log-sum-exp.
+afterwards. Prefill makes the same attention call as ``forward_full`` at
+every length, so its logits are bit-identical to the plain model's. Prompts
+of up to ``_PREFILL_BLOCK`` (64) tokens run on the model's per-head path;
+longer ones on the model's tiled causal kernel over head-stacked arrays,
+which also returns every row's log-sum-exp.
 
 * online mode: after each layer's attention, its lazy ratio is computed
   from the log-sum-exp shortcut and pushed into a bounded priority queue.
-  Above the threshold the full-causal lse of the trailing rows is read
+  Above ``_PREFILL_BLOCK`` the full-causal lse of the trailing rows is read
   from the kernel's output; at or below it, the kernel's tile routine runs
   once over just those rows.
   A popped layer has its cache shrunk to the streaming window immediately,
@@ -43,8 +44,11 @@ from .lazydetect import (
     lse_log_ratios,
 )
 from .model import (
+    _PREFILL_BLOCK,
     ModelConfig,
     Weights,
+    _causal_attention,
+    _causal_tile,
     ffn_forward,
     ln,
     mha_from_projections,
@@ -61,16 +65,6 @@ __all__ = [
     "baseline_params",
     "identification_overhead",
 ]
-
-# Prompt length above which prefill attention runs on the tiled causal
-# kernel. At or below it the unblocked model path is used, which keeps
-# small-prompt prefill bit-identical to forward_full. With one BLAS thread
-# the kernel is the faster one from 256 tokens up, 3-4x at 1024, where the
-# unblocked path builds and pages in an 8 MB score matrix per head; so the
-# bound is no higher than the exact-match guarantee needs.
-_PREFILL_BLOCK = 512
-# Query rows per tile of the causal kernel.
-_PREFILL_TILE = 128
 
 
 def _is_int(value) -> bool:
@@ -178,55 +172,6 @@ class EngineParams:
             raise InputError("max_new_tokens must be >= 0")
 
 
-def _causal_tile(q, k, v, scale: float, r0: int):
-    """Causal attention for the query rows at positions r0 .. r0+t-1.
-
-    ``q`` is (H, t, d_head); ``k`` and ``v`` hold at least the rows for
-    positions 0 .. r0+t-1, head-stacked, and ``v`` may be None when only the
-    log-sum-exp is wanted. Scores are formed only against those keys, and
-    only the trailing (t, t) diagonal block needs masking: a masked entry is
-    left out of the max, clamped so its exp cannot overflow, and zeroed by
-    the mask multiply. Returns ``(out (H, t, d_value) or None, lse (H, t))``.
-    """
-    t = q.shape[1]
-    r1 = r0 + t
-    scores = np.matmul(q, k[:, :r1].transpose(0, 2, 1))
-    if scale != 1.0:
-        scores *= scale
-    diag = scores[:, :, r0:]
-    tril = np.tri(t, dtype=bool)
-    row_max = diag.max(axis=2, where=tril, initial=-np.inf)
-    if r0 > 0:
-        np.maximum(row_max, scores[:, :, :r0].max(axis=2), out=row_max)
-    scores -= row_max[:, :, None]
-    np.minimum(diag, 0.0, out=diag)
-    np.exp(scores, out=scores)
-    diag *= tril
-    sums = scores.sum(axis=2)
-    lse = row_max + np.log(sums)
-    if v is None:
-        return None, lse
-    out = np.matmul(scores, v[:, :r1])
-    out /= sums[:, :, None]
-    return out, lse
-
-
-def _causal_attention(q, k, v, scale: float):
-    """Exact causal attention over head-stacked (H, n, d) arrays.
-
-    Query rows go in tiles of ``_PREFILL_TILE``; each tile scores only the
-    keys up to its own end. Returns ``(out (H, n, d_value), lse (H, n))``,
-    the per-row log-sum-exp being the normalizer of every causal row.
-    """
-    n_heads, n, _ = q.shape
-    out = np.empty((n_heads, n, v.shape[2]))
-    lse = np.empty((n_heads, n))
-    for r0 in range(0, n, _PREFILL_TILE):
-        r1 = min(r0 + _PREFILL_TILE, n)
-        out[:, r0:r1], lse[:, r0:r1] = _causal_tile(q[:, r0:r1], k, v, scale, r0)
-    return out, lse
-
-
 class Session:
     """One generation request: prefill once, then decode token by token."""
 
@@ -300,22 +245,22 @@ class Session:
         log_ratios: List[np.ndarray] = []
         for layer in range(cfg.n_layers):
             x_norm = ln(x, cfg.ln_mode)
-            qs, ks, vs = project_qkv(x_norm, self.weights, layer)
+            q, k, v = project_qkv(x_norm, self.weights, layer)
             lse = None
             if n > _PREFILL_BLOCK:
-                k = np.stack(ks)
-                heads, lse = _causal_attention(np.stack(qs), k, np.stack(vs), scale)
+                # The call and head sum mha_from_projections makes for
+                # forward_full, so the two agree bit for bit.
+                heads, lse = _causal_attention(q, k, v, scale)
                 attn = heads.sum(axis=0)
             else:
-                attn = mha_from_projections(qs, ks, vs, MaskSpec.causal(), scale)
-            self.caches[layer].append(ks, vs)
+                attn = mha_from_projections(q, k, v, MaskSpec.causal(), scale)
+            self.caches[layer].append(k, v)
             self._observe()
             if online:
                 # The tiled pass already holds every row's lse; short prompts
                 # run one tile over just the last m rows.
-                q_last = np.stack([q[n - m :] for q in qs])
+                q_last = q[:, n - m :]
                 if lse is None:
-                    k = np.stack(ks)
                     _, lse = _causal_tile(q_last, k, None, scale, n - m)
                 else:
                     lse = lse[:, n - m :]
@@ -376,11 +321,11 @@ class Session:
         )
         for layer in range(cfg.n_layers):
             x_norm = ln(x, cfg.ln_mode)
-            qs, ks, vs = project_qkv(x_norm, self.weights, layer)
-            self.caches[layer].append(ks, vs)
-            attn = attend_from_cache(self.caches[layer], qs, cfg)
+            q, k, v = project_qkv(x_norm, self.weights, layer)
+            self.caches[layer].append(k, v)
+            attn = attend_from_cache(self.caches[layer], q, cfg)
             if probe_masses is not None:
-                probe_masses[layer] = self._kept_mass_of_newest(self.caches[layer], qs)
+                probe_masses[layer] = self._kept_mass_of_newest(self.caches[layer], q)
             x = x + attn
             x = x + ffn_forward(ln(x, cfg.ln_mode), self.weights, layer, cfg)
         if probe_masses is not None:
@@ -391,13 +336,13 @@ class Session:
         self.decode_seconds.append(time.perf_counter() - t0)
         return logits
 
-    def _kept_mass_of_newest(self, cache: LayerCache, qs) -> float:
+    def _kept_mass_of_newest(self, cache: LayerCache, q: np.ndarray) -> float:
         w_sink, w_recent = self.mass_probe
         target = kept_query_positions(cache.total_seen - 1, w_sink, w_recent)
         keys, _, held = cache.held()
         # One (H, 1, size) block over the rows in storage order; the
         # selection reads positions in that same order.
-        scores = np.asarray(qs) @ keys.transpose(0, 2, 1)
+        scores = q @ keys.transpose(0, 2, 1)
         if self.config.score_scale != 1.0:
             scores *= self.config.score_scale
         probs = np.exp(scores - scores.max(axis=-1, keepdims=True))

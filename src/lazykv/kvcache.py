@@ -137,21 +137,26 @@ class LayerCache:
         k[:, :n], v[:, :n], pos[:n] = self._k[:, :n], self._v[:, :n], self._pos[:n]
         self._k, self._v, self._pos = k, v, pos
 
-    def append(self, new_keys: Sequence[np.ndarray], new_values: Sequence[np.ndarray]) -> None:
+    def append(self, new_keys, new_values) -> None:
         """Add K/V rows for the next tokens, writing only the rows the
-        retention window keeps."""
-        if len(new_keys) != self.n_heads or len(new_values) != self.n_heads:
+        retention window keeps.
+
+        ``new_keys`` is ``(H, t, d_key)`` and ``new_values`` ``(H, t,
+        d_value)``; a list of per-head ``(t, d)`` rows converts to that.
+        """
+        try:
+            new_keys, new_values = np.asarray(new_keys), np.asarray(new_values)
+        except ValueError as exc:  # per-head rows of unequal shapes
+            raise ContractViolation(f"per-head K/V rows differ in shape: {exc}") from exc
+        t = new_keys.shape[1] if new_keys.ndim == 3 else -1
+        if new_keys.shape != (self.n_heads, t, self.d_key) or new_values.shape != (
+            self.n_heads, t, self.d_value
+        ):
             raise ContractViolation(
-                f"expected {self.n_heads} heads of K/V rows, got "
-                f"{len(new_keys)}/{len(new_values)}"
+                f"expected K/V of shape ({self.n_heads}, t, {self.d_key}) and "
+                f"({self.n_heads}, t, {self.d_value}); got {new_keys.shape}, "
+                f"{new_values.shape}"
             )
-        t = new_keys[0].shape[0]
-        for k, v in zip(new_keys, new_values):
-            if k.shape != (t, self.d_key) or v.shape != (t, self.d_value):
-                raise ContractViolation(
-                    f"K/V row widths must be ({self.d_key}, {self.d_value}); "
-                    f"got {k.shape}, {v.shape}"
-                )
         start = self.total_seen
         stop = start + t
         if self.policy.kind == "full":
@@ -170,12 +175,10 @@ class LayerCache:
                 runs.append((lo, hi, slot))
                 lo = hi
         self._reserve(size)
-        # Per head, so a long prompt is never stacked into a temporary copy.
         for lo, hi, slot in runs:
             rows, dst = slice(lo - start, hi - start), slice(slot, slot + hi - lo)
-            for h in range(self.n_heads):
-                self._k[h, dst] = new_keys[h][rows]
-                self._v[h, dst] = new_values[h][rows]
+            self._k[:, dst] = new_keys[:, rows]
+            self._v[:, dst] = new_values[:, rows]
             self._pos[dst] = np.arange(lo, hi)
         self.total_seen = stop
         self._size = size
@@ -238,12 +241,11 @@ def memory_stats(meter: MemoryMeter) -> dict:
     }
 
 
-def attend_from_cache(
-    cache: LayerCache, queries: Sequence[np.ndarray], config: ModelConfig
-) -> np.ndarray:
+def attend_from_cache(cache: LayerCache, queries, config: ModelConfig) -> np.ndarray:
     """Attention of the most recent query rows over the cache's kept rows.
 
-    Query row j is taken to sit at absolute position
+    ``queries`` is head-stacked ``(H, n_q, d_key)``; a list of per-head
+    rows converts to that. Query row j is taken to sit at absolute position
     ``total_seen - n_q + j``; it may only attend to kept positions at or
     before that. Equals full causal attention restricted to the kept set.
     All heads are scored as one ``(H, n_q, size)`` block over the rows in
@@ -251,17 +253,18 @@ def attend_from_cache(
     """
     if cache.size == 0:
         raise ContractViolation("cannot attend from an empty cache")
-    if len(queries) != cache.n_heads:
+    queries = np.asarray(queries)
+    if queries.ndim != 3 or queries.shape[0] != cache.n_heads:
         raise ContractViolation(
-            f"expected {cache.n_heads} heads of queries, got {len(queries)}"
+            f"expected {cache.n_heads} heads of query rows, got shape {queries.shape}"
         )
-    n_q = queries[0].shape[0]
+    n_q = queries.shape[1]
     if n_q < 1 or n_q > cache.total_seen:
         raise ContractViolation(
             f"query count {n_q} outside 1..{cache.total_seen}"
         )
     keys, values, held = cache.held()
-    scores = np.asarray(queries) @ keys.transpose(0, 2, 1)
+    scores = queries @ keys.transpose(0, 2, 1)
     if config.score_scale != 1.0:
         scores *= config.score_scale
 

@@ -353,6 +353,14 @@ def verify_theorem(
     target_b: float = 1.2,
 ) -> dict:
     """Random small networks: every bound margin must clear -1e-9."""
+    for name, value, low in (
+        ("max_layers", max_layers, 1),
+        ("max_heads", max_heads, 1),
+        ("max_dim", max_dim, 2),
+        ("max_tokens", max_tokens, 2),
+    ):
+        if value < low:
+            raise InputError(f"{name} must be >= {low}, got {value}")
     rng = np.random.default_rng(seed)
     trials = []
     min_recursive = math.inf

@@ -361,6 +361,36 @@ class TestBench:
         assert 1 / 3 <= ratio <= 3.0
 
 
+class TestFlagBoundary:
+    """Each malformed flag value exits 1 with a one-line message."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--lengths", "8,x"],
+            ["bench", "--repeats", 0],
+            ["bench", "--max-new", 0],
+            ["bench", "--lengths", "-3"],
+            ["analyze", "--tokens", "1,2,3", "--w-last-sweep", ","],
+            ["make-policy", "--strategy", "manual", "--layers", "0,z", "--out", "p.json"],
+        ],
+        ids=["bench-lengths-text", "bench-repeats-0", "bench-max-new-0",
+             "bench-lengths-negative", "analyze-empty-sweep", "make-policy-layers-text"],
+    )
+    def test_model_commands(self, tmp_path, model_path, capsys, argv):
+        capsys.readouterr()
+        argv = [tmp_path / a if a == "p.json" else a for a in argv]
+        assert run_cli(*argv[:1], "--model", model_path, *argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--max-tokens", "--max-dim"])
+    def test_verify_theory_sizes(self, capsys, flag):
+        assert run_cli("verify-theory", "--trials", 1, "--lemma-trials", 1, flag, 1) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["definitely-not-a-command"])
@@ -377,3 +407,28 @@ def test_thread_cap_env_fans_out(monkeypatch):
 
     assert os.environ["OMP_NUM_THREADS"] == "3"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "command, lazykv_threads, expect",
+    [("bench", None, "1"), ("bench", "3", "3"), ("run", None, None)],
+)
+def test_bench_caps_blas_threads_unless_told(tmp_path, monkeypatch, command,
+                                             lazykv_threads, expect):
+    # the model file is missing, so the command stops after the cap
+    import os
+
+    for var in _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if lazykv_threads is None:
+        monkeypatch.delenv("LAZYKV_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("LAZYKV_THREADS", lazykv_threads)
+    argv = [command, "--model", tmp_path / "missing"]
+    if command == "run":
+        argv += ["--tokens", "1"]
+    assert run_cli(*argv) == 1
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == expect

@@ -6,10 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lazykv.engine import (
-    _PREFILL_BLOCK,
-    _PREFILL_TILE,
-    _causal_attention,
-    _causal_tile,
     EngineParams,
     PolicyFile,
     Session,
@@ -21,7 +17,17 @@ from lazykv.engine import (
 from lazykv.errors import ContractViolation, InputError
 from lazykv.kvcache import kept_positions_for
 from lazykv.lazydetect import DetectParams, lazy_ratio_bruteforce
-from lazykv.model import ModelConfig, block_forward, forward_full, ln, random_init
+from lazykv.model import (
+    _PREFILL_BLOCK,
+    _PREFILL_TILE,
+    ModelConfig,
+    _causal_attention,
+    _causal_tile,
+    block_forward,
+    forward_full,
+    ln,
+    random_init,
+)
 from lazykv.numerics import MaskSpec, masked_row_logsumexp, masked_row_softmax
 
 
@@ -174,7 +180,25 @@ class TestPrefill:
         tokens = random_prompt(np.random.default_rng(81), config, n)
         logits, _ = session.prefill(tokens)
         expect = forward_full(tokens, weights, config).logits[-1]
-        assert np.allclose(logits, expect, atol=1e-10, rtol=0)
+        assert np.array_equal(logits, expect)
+
+    @pytest.mark.parametrize("mode", ["online", "static"])
+    @pytest.mark.parametrize(
+        "n", [_PREFILL_BLOCK, _PREFILL_BLOCK + 1, _PREFILL_TILE + 1, 600]
+    )
+    def test_prefill_logits_bit_identical_to_forward_full(self, mode, n):
+        # prefill and forward_full make the same attention call on either
+        # side of the threshold and across tile boundaries
+        config, weights = make_model(84, n_layers=3, d_model=8, d_head=4, vocab=17)
+        detect = DetectParams(w_last=8, w_sink=2, w_recent=6, n_full=1)
+        policy = None
+        if mode == "static":
+            policy = PolicyFile(fingerprint="", lazy_layers=[0, 2], w_sink=2,
+                                w_recent=6, provenance="manual")
+        session = Session(weights, config, EngineParams(detect=detect, policy=policy))
+        tokens = random_prompt(np.random.default_rng(85 + n), config, n)
+        logits, _ = session.prefill(tokens)
+        assert np.array_equal(logits, forward_full(tokens, weights, config).logits[-1])
 
     def test_online_detection_above_threshold_matches_bruteforce(self):
         # above the threshold the ratios read the tiled kernel's lse rows

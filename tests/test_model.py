@@ -5,6 +5,8 @@ import pytest
 
 from lazykv.errors import InputError
 from lazykv.model import (
+    _PREFILL_BLOCK,
+    _PREFILL_TILE,
     ACTIVATIONS,
     ModelConfig,
     block_forward,
@@ -98,6 +100,16 @@ class TestMha:
         x = rng.standard_normal((5, config.d_model))
         out = mha_forward(x, weights, 1, MaskSpec.causal(), config)
         assert np.allclose(out, explicit_mha_oracle(x, weights, 1, config), atol=1e-10)
+
+    def test_tiled_causal_branch_matches_oracle(self):
+        # above _PREFILL_BLOCK rows a causal mask runs on the tiled kernel;
+        # _PREFILL_TILE + 5 rows span two tiles
+        config = small_config(logit_scaling="inv_sqrt_dk")
+        weights = random_init(config, 11, 0.8)
+        x = np.random.default_rng(11).standard_normal((_PREFILL_TILE + 5, config.d_model))
+        assert x.shape[0] > _PREFILL_BLOCK
+        out = mha_forward(x, weights, 1, MaskSpec.causal(), config)
+        assert np.allclose(out, explicit_mha_oracle(x, weights, 1, config), atol=1e-10, rtol=0)
 
     def test_causal_equals_explicit_prefix_sets(self):
         config = small_config()
