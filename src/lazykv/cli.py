@@ -55,6 +55,7 @@ def _parse_tokens(spec: str):
     import numpy as np
 
     from .errors import InputError
+    from .offline import is_token_list
 
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as f:
@@ -62,9 +63,7 @@ def _parse_tokens(spec: str):
                 data = json.load(f)
             except ValueError as exc:
                 raise InputError(f"{spec} is not valid JSON: {exc}") from exc
-        if not isinstance(data, list) or not all(
-            isinstance(t, int) and not isinstance(t, bool) for t in data
-        ):
+        if not is_token_list(data):
             raise InputError(f"{spec} must hold a JSON list of integer token ids")
     else:
         try:
@@ -313,7 +312,8 @@ def cmd_analyze(args) -> int:
         w_recent=args.w_recent,
         n_full=config.n_layers,  # observe only; never transfer
     )
-    session = Session(weights, config, EngineParams(detect=detect))
+    params = EngineParams(detect=detect, max_new_tokens=args.max_new)  # refuses < 0
+    session = Session(weights, config, params)
     session.mass_probe = (args.w_sink, args.w_recent)
     logits, report = session.prefill(tokens)
 

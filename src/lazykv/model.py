@@ -340,8 +340,8 @@ def forward_full(tokens, weights: Weights, config: ModelConfig) -> HiddenTrace:
 
 def random_init(config: ModelConfig, seed: int, scale: float) -> Weights:
     """Reproducible uniform(-scale, scale) weights; scale 0 gives all zeros."""
-    if scale < 0:
-        raise InputError("scale must be >= 0")
+    if not (math.isfinite(scale) and scale >= 0):
+        raise InputError(f"scale must be finite and >= 0, got {scale}")
     rng = np.random.default_rng(seed)
     L, H, d, dk, v = (
         config.n_layers,
@@ -371,16 +371,11 @@ def param_norm_bound(weights: Weights) -> float:
     The token embedding table is input data rather than a block parameter
     and is excluded.
     """
-    best = 0.0
-    for stack in (weights.w_q, weights.w_k, weights.w_v):
-        flat = stack.reshape(-1, stack.shape[-2], stack.shape[-1])
-        for m in flat:
-            best = max(best, float(np.sqrt(np.sum(m * m))))
-    for stack in (weights.w_ff1, weights.w_ff2):
-        for m in stack:
-            best = max(best, float(np.sqrt(np.sum(m * m))))
-    best = max(best, float(np.sqrt(np.sum(weights.unembed * weights.unembed))))
-    return best
+    stacks = (weights.w_q, weights.w_k, weights.w_v, weights.w_ff1, weights.w_ff2)
+    return max(
+        float(np.sqrt(np.square(m).sum(axis=(-2, -1)).max(initial=0.0)))
+        for m in stacks + (weights.unembed,)
+    )
 
 
 # --- model file I/O ---------------------------------------------------------

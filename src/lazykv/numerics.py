@@ -54,9 +54,9 @@ class MaskSpec:
 
     @classmethod
     def lazy_set(cls, allowed_sets: Sequence[Sequence[int]]) -> "MaskSpec":
-        rows = tuple(
-            np.unique(np.asarray(s, dtype=np.int64)) for s in allowed_sets
-        )
+        # Built from a list: tuple() of a generator resizes its result, and the
+        # freed tuples then pile up (2000 per length) in CPython's free list.
+        rows = tuple([np.unique(np.asarray(s, dtype=np.int64)) for s in allowed_sets])
         return cls(kind="lazy_set", allowed=rows)
 
     def bool_matrix(self, n_rows: int, n_cols: int) -> np.ndarray:
@@ -72,15 +72,18 @@ class MaskSpec:
                 raise ContractViolation(
                     "lazy_set mask must provide one allowed set per score row"
                 )
+            sizes = np.fromiter(map(len, self.allowed), np.int64, count=n_rows)
+            rows = np.repeat(np.arange(n_rows), sizes)
+            cols = np.concatenate((np.empty(0, np.int64),) + self.allowed)
+            bad = np.r_[np.flatnonzero(sizes == 0), rows[(cols < 0) | (cols >= n_cols)]]
+            if bad.size:
+                i = int(bad.min())
+                raise ContractViolation(
+                    f"row {i} has an empty allowed set" if sizes[i] == 0
+                    else f"row {i} allowed indices out of range for {n_cols} columns"
+                )
             out = np.zeros((n_rows, n_cols), dtype=bool)
-            for i, idx in enumerate(self.allowed):
-                if idx.size == 0:
-                    raise ContractViolation(f"row {i} has an empty allowed set")
-                if idx.min() < 0 or idx.max() >= n_cols:
-                    raise ContractViolation(
-                        f"row {i} allowed indices out of range for {n_cols} columns"
-                    )
-                out[i, idx] = True
+            out[rows, cols] = True
             return out
         raise ContractViolation(f"unknown mask kind {self.kind!r}")
 

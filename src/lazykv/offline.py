@@ -48,6 +48,11 @@ class FrequencyTable:
         return {"lazy_counts": list(self.counts), "n_samples": self.n_samples}
 
 
+def is_token_list(data) -> bool:
+    """A JSON list of integer token ids; bools are not integers here."""
+    return isinstance(data, list) and all(type(t) is int for t in data)
+
+
 def load_corpus(path) -> List[CorpusSample]:
     """Read JSON-lines samples: {"question": [ints], "answer": [ints]}."""
     samples = []
@@ -58,14 +63,13 @@ def load_corpus(path) -> List[CorpusSample]:
                 continue
             try:
                 raw = json.loads(line)
-                samples.append(
-                    CorpusSample(
-                        question=tuple(int(t) for t in raw["question"]),
-                        answer=tuple(int(t) for t in raw["answer"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                fields = (raw["question"], raw["answer"])
+                if not all(map(is_token_list, fields)):
+                    raise TypeError("question and answer must be lists of integer ids")
+                np.asarray(fields[0] + fields[1], dtype=np.int64)  # int64 range
+            except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
                 raise InputError(f"{path}:{lineno}: bad corpus line: {exc}") from exc
+            samples.append(CorpusSample(*map(tuple, fields)))
     return samples
 
 

@@ -13,9 +13,14 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
 def read_json(path):
+    """Standard JSON only: NaN and Infinity are refused."""
     with open(path) as f:
-        return json.load(f)
+        return json.load(f, parse_constant=_reject_constant)
 
 
 @pytest.fixture
@@ -45,6 +50,15 @@ class TestGenModel:
         ) == 0
         _, weights, _ = load_model(tmp_path / "z")
         assert np.all(weights.unembed == 0)
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_is_input_error(self, tmp_path, capsys, scale):
+        assert run_cli(
+            "gen-model", "--layers", 1, "--heads", 1, "--dim", 3, "--dk", 2,
+            "--vocab", 4, "--scale", scale, "--out", tmp_path / "m",
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_loader_round_trip_preserves_logits(self, tmp_path, model_path):
         config, weights, _ = load_model(model_path)
@@ -303,6 +317,27 @@ class TestPreselectCommand:
         ) == 0
         assert read_json(report)["policy"]["lazy_layers"] == read_json(run_report)["lazy_layers"]
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            {"question": [1.7, 2.2], "answer": [3.9]},
+            {"question": "12", "answer": "3"},
+            {"question": [1, True], "answer": [3]},
+            {"question": [99999999999999999999], "answer": [3]},
+        ],
+        ids=["floats", "strings", "bool", "beyond-int64"],
+    )
+    def test_non_integer_ids_are_input_errors(self, tmp_path, model_path, capsys, line):
+        # refused, not coerced; the message names the file and the line
+        corpus = tmp_path / "c.jsonl"
+        good = {"question": [1, 2, 3], "answer": [4]}
+        corpus.write_text(json.dumps(good) + "\n" + json.dumps(line) + "\n")
+        capsys.readouterr()
+        assert run_cli("preselect", "--model", model_path, "--corpus", corpus) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{corpus}:2:" in err
+
     def test_missing_corpus_is_input_error(self, tmp_path, model_path):
         assert run_cli(
             "preselect", "--model", model_path, "--corpus", tmp_path / "nope.jsonl",
@@ -372,10 +407,12 @@ class TestFlagBoundary:
             ["bench", "--max-new", 0],
             ["bench", "--lengths", "-3"],
             ["analyze", "--tokens", "1,2,3", "--w-last-sweep", ","],
+            ["analyze", "--tokens", "1,2,3", "--max-new", -1],
             ["make-policy", "--strategy", "manual", "--layers", "0,z", "--out", "p.json"],
         ],
         ids=["bench-lengths-text", "bench-repeats-0", "bench-max-new-0",
-             "bench-lengths-negative", "analyze-empty-sweep", "make-policy-layers-text"],
+             "bench-lengths-negative", "analyze-empty-sweep", "analyze-max-new-negative",
+             "make-policy-layers-text"],
     )
     def test_model_commands(self, tmp_path, model_path, capsys, argv):
         capsys.readouterr()
@@ -389,6 +426,20 @@ class TestFlagBoundary:
         assert run_cli("verify-theory", "--trials", 1, "--lemma-trials", 1, flag, 1) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--trials", 0, "--lemma-trials", 1], ["--trials", -2, "--lemma-trials", 1],
+         ["--trials", 1, "--lemma-trials", 0], ["--trials", 1, "--lemma-trials", -5]],
+        ids=["trials-0", "trials-negative", "lemma-trials-0", "lemma-trials-negative"],
+    )
+    def test_verify_theory_trial_counts(self, tmp_path, capsys, argv):
+        # no report: neither a traceback nor a vacuous pass with Infinity margins
+        report = tmp_path / "t.json"
+        assert run_cli("verify-theory", *argv, "--report", report) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not report.exists()
 
 
 def test_unknown_command_exits_nonzero():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazykv.errors import ContractViolation
 from lazykv.numerics import (
@@ -107,6 +109,70 @@ class TestMaskedRowSoftmax:
         probs = masked_row_softmax(scores, mask)
         assert np.isfinite(probs).all()
         assert np.allclose(probs.sum(axis=1), 1.0)
+
+
+def per_row_bool_matrix(allowed_sets, n_rows, n_cols):
+    """Reference lazy_set mask, one row at a time; raises as the rows come."""
+    out = np.zeros((n_rows, n_cols), dtype=bool)
+    for i, s in enumerate(allowed_sets):
+        idx = np.unique(np.asarray(s, dtype=np.int64))
+        if idx.size == 0:
+            raise ContractViolation(f"row {i} has an empty allowed set")
+        if idx.min() < 0 or idx.max() >= n_cols:
+            raise ContractViolation(
+                f"row {i} allowed indices out of range for {n_cols} columns"
+            )
+        out[i, idx] = True
+    return out
+
+
+@st.composite
+def lazy_set_case(draw):
+    """Row sets over n_cols columns, now and then empty or out of range."""
+    n_rows, n_cols = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    bad_rate = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    sets = []
+    for _ in range(n_rows):
+        if draw(st.floats(0, 1)) < bad_rate:
+            sets.append(draw(st.sampled_from([
+                [], [-1], [n_cols], [0, -3], [n_cols - 1, n_cols + 2],
+            ])))
+        else:
+            sets.append(draw(st.lists(st.integers(0, n_cols - 1), min_size=1, max_size=8)))
+    return sets, n_rows, n_cols
+
+
+class TestLazySetBoolMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(lazy_set_case())
+    def test_matches_per_row_reference(self, case):
+        sets, n_rows, n_cols = case
+        try:
+            expect = per_row_bool_matrix(sets, n_rows, n_cols)
+        except ContractViolation as exc:
+            # the same error, naming the same (first) bad row
+            with pytest.raises(ContractViolation) as got:
+                MaskSpec.lazy_set(sets).bool_matrix(n_rows, n_cols)
+            assert str(got.value) == str(exc)
+        else:
+            got = MaskSpec.lazy_set(sets).bool_matrix(n_rows, n_cols)
+            assert got.dtype == bool and np.array_equal(got, expect)
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            ([[0], [9], []], "row 1 allowed indices out of range for 3 columns"),
+            ([[0], [], [9]], "row 1 has an empty allowed set"),
+            ([[-1, 0], [0]], "row 0 allowed indices out of range for 3 columns"),
+        ],
+    )
+    def test_first_bad_row_is_named(self, sets, message):
+        with pytest.raises(ContractViolation, match=f"^{message}$"):
+            MaskSpec.lazy_set(sets).bool_matrix(len(sets), 3)
+
+    def test_row_count_must_match(self):
+        with pytest.raises(ContractViolation):
+            MaskSpec.lazy_set([[0], [0]]).bool_matrix(3, 3)
 
 
 class TestMaskedRowLogsumexp:

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lazykv.errors import ContractViolation
+from lazykv.errors import ContractViolation, InputError
 from lazykv.model import ModelConfig, forward_full, random_init
 from lazykv.theory import (
     ErrorTrace,
@@ -138,6 +140,44 @@ class TestDiscardedMass:
             x, weights, 0, wide, config
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_on_random_sets(self, data):
+        # streaming windows, or any non-empty sets, entries above the row too
+        n = data.draw(st.integers(1, 24))
+        n_heads = data.draw(st.integers(1, 3))
+        config = theory_config(n_heads=n_heads, d_model=5, d_head=3)
+        weights = scaled_weights(config, data.draw(st.integers(0, 2**16)), target_b=1.2)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        x = rng.standard_normal((n, config.d_model)) * data.draw(st.sampled_from([0.3, 1.0, 3.0]))
+        if data.draw(st.booleans()):
+            sets = streaming_allowed_sets(
+                n, data.draw(st.integers(0, 3)), data.draw(st.integers(1, max(1, n)))
+            )
+        else:
+            cols = st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
+            sets = [np.array(data.draw(cols)) for _ in range(n)]
+        layer = data.draw(st.integers(0, config.n_layers - 1))
+        got = discarded_mass(x, weights, layer, sets, config)
+        assert abs(got - oracle_discarded(x, weights, layer, sets, config)) <= 1e-12
+
+    def test_wrong_number_of_sets_is_input_error(self):
+        config = theory_config()
+        weights = scaled_weights(config, 0)
+        x = np.zeros((3, config.d_model))
+        with pytest.raises(InputError):
+            discarded_mass(x, weights, 0, [np.array([0]), np.array([0, 1])], config)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_index_raises(self, bad):
+        # a bare scatter would wrap -1 round to column n-1
+        config = theory_config()
+        weights = scaled_weights(config, 0)
+        x = np.random.default_rng(0).standard_normal((3, config.d_model))
+        sets = [np.array([0]), np.array([0, 1]), np.array([0, bad])]
+        with pytest.raises(ContractViolation, match="row 2"):
+            discarded_mass(x, weights, 0, sets, config)
+
     def test_requires_theory_config(self):
         config = ModelConfig(n_layers=1, n_heads=1, d_model=3, d_head=2,
                              vocab_size=4, ln_mode="rms")
@@ -236,6 +276,13 @@ class TestBounds:
         assert report["min_recursive_margin"] >= -1e-9
         assert report["min_logit_margin"] >= -1e-9
         assert len(report["trials"]) == 30
+
+    @pytest.mark.parametrize("n_trials", [0, -2])
+    def test_trial_count_below_one_is_input_error(self, n_trials):
+        with pytest.raises(InputError):
+            verify_theorem(n_trials=n_trials)
+        with pytest.raises(InputError):
+            lemma_oracles(n_trials=n_trials)
 
     def test_verify_theorem_deterministic(self):
         a = verify_theorem(n_trials=5, seed=7)
