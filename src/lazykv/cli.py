@@ -213,6 +213,7 @@ def _timed_generation(weights, config, params, tokens, max_new, warmup=2):
         "decode_step_s": step_s,
         "decode_tokens_per_s": 1.0 / step_s if step_s > 0 else float("inf"),
         "peak_rows": session.meter.peak_total,
+        "peak_kv_bytes": session.peak_kv_bytes,
         "rows_after_prefill_and_decode": sum(c.size for c in session.caches),
     }
 

@@ -21,8 +21,11 @@ which also returns every row's log-sum-exp.
   are shrunk right after their prefill pass. Replaying a policy captured
   from an online run therefore reproduces that run's decode exactly.
 
-Decode runs one token at a time; each layer appends the new K/V rows under
-its policy and attends over whatever the cache retained.
+Decode runs one token at a time; each layer appends the new key rows and
+its normalized input row under its policy and attends over whatever the
+cache retained. The cache holds no per-head values: ``attend_from_cache``
+weights the held input rows and applies the layer's W_V after the sum, so
+a held row costs ``(n_heads * d_head + d_model) * 8`` bytes.
 """
 
 from __future__ import annotations
@@ -245,7 +248,9 @@ class Session:
         log_ratios: List[np.ndarray] = []
         for layer in range(cfg.n_layers):
             x_norm = ln(x, cfg.ln_mode)
-            q, k, v = project_qkv(x_norm, self.weights, layer)
+            q, k = project_qkv(x_norm, self.weights, layer)
+            # The values mha_forward forms, so the two agree bit for bit.
+            v = np.matmul(x_norm, self.weights.w_v[layer])
             lse = None
             if n > _PREFILL_BLOCK:
                 # The call and head sum mha_from_projections makes for
@@ -254,7 +259,7 @@ class Session:
                 attn = heads.sum(axis=0)
             else:
                 attn = mha_from_projections(q, k, v, MaskSpec.causal(), scale)
-            self.caches[layer].append(k, v)
+            self.caches[layer].append(k, x_norm)
             self._observe()
             if online:
                 # The tiled pass already holds every row's lse; short prompts
@@ -321,9 +326,9 @@ class Session:
         )
         for layer in range(cfg.n_layers):
             x_norm = ln(x, cfg.ln_mode)
-            q, k, v = project_qkv(x_norm, self.weights, layer)
-            self.caches[layer].append(k, v)
-            attn = attend_from_cache(self.caches[layer], q, cfg)
+            q, k = project_qkv(x_norm, self.weights, layer)
+            self.caches[layer].append(k, x_norm)
+            attn = attend_from_cache(self.caches[layer], q, self.weights.w_v[layer], cfg)
             if probe_masses is not None:
                 probe_masses[layer] = self._kept_mass_of_newest(self.caches[layer], q)
             x = x + attn
@@ -366,6 +371,12 @@ class Session:
             self.generated.append(next_id)
         return list(self.generated)
 
+    @property
+    def peak_kv_bytes(self) -> int:
+        """Peak held rows over all layers times the bytes of one row."""
+        row = self.caches[0].bytes_per_row if self.caches else 0
+        return self.meter.peak_total * row
+
     def run_report(self) -> dict:
         rep = self.report.to_dict() if self.report is not None else {}
         decode_ms = [s * 1e3 for s in self.decode_seconds]
@@ -373,6 +384,7 @@ class Session:
             "lazy_layers": rep.get("lazy_layers", []),
             "per_layer_ratios": rep.get("ratios", []),
             "peak_rows": self.meter.peak_total,
+            "peak_kv_bytes": self.peak_kv_bytes,
             "peak_full_caches": self.peak_full_caches,
             "rows_per_layer": list(self.meter.layer_rows),
             "decode_ms_per_step": (

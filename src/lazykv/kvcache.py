@@ -1,4 +1,4 @@
-"""Per-layer key/value storage under a Full or Streaming retention policy.
+"""Per-layer keys and input rows under a Full or Streaming retention policy.
 
 A streaming cache keeps the first ``w_sink`` positions (attention sinks)
 plus the ``w_recent`` most recent ones, deduplicated. Its buffers hold at
@@ -14,11 +14,19 @@ Because the slot depends only on the position, every path that holds the
 same positions (online, static replay, full-then-transfer) has the same
 physical layout. Attention runs over the rows in that storage order: the
 softmax over keys does not depend on their order, and multi-row queries
-mask by held position. ``kept_positions``, ``keys`` and ``values`` return
+mask by held position. ``kept_positions``, ``keys`` and ``inputs`` return
 rows in position order.
 
-K/V are stacked over heads, ``(n_heads, rows, d)``. Full buffers grow
-geometrically, so appending one token during decode is amortized O(1).
+Keys are stacked over heads, ``(n_heads, rows, d_key)``. The value side is
+one ``(rows, d_model)`` buffer of the layer's normalized input rows X,
+shared by all heads: the model has no positional encoding, so head h's
+values are X W_V,h, and ``attend_from_cache`` applies W_V after the
+weighted sum, sum_h (p_h X) W_V,h (the weight absorption of MLA,
+DeepSeek-V2, applied to values only). A held row costs
+``(n_heads * d_key + d_model) * 8`` bytes, 1,024 on the 4-head, d_model 64,
+d_head 16 benchmark model against 2,560 for H per-head value rows. Full
+buffers grow geometrically, so appending one token during decode is
+amortized O(1).
 """
 
 from __future__ import annotations
@@ -79,34 +87,40 @@ def kept_positions_for(total_seen: int, w_sink: int, w_recent: int) -> np.ndarra
 
 
 class LayerCache:
-    """Key/value rows for one layer, one row per retained token position.
+    """Keys and normalized input rows for one layer, one row per retained
+    token position.
 
-    ``_k``/``_v`` are ``(n_heads, capacity, d)`` and ``_pos`` is
-    ``(capacity,)``; rows ``[:size]`` are held, each in the slot the module
-    docstring gives for its position.
+    ``_k`` is ``(n_heads, capacity, d_key)``, ``_x`` is ``(capacity,
+    d_model)`` and ``_pos`` is ``(capacity,)``; rows ``[:size]`` are held,
+    each in the slot the module docstring gives for its position.
     """
 
-    def __init__(self, n_heads: int, d_key: int, d_value: int, policy: CachePolicy):
+    def __init__(self, n_heads: int, d_key: int, d_model: int, policy: CachePolicy):
         self.n_heads = n_heads
         self.d_key = d_key
-        self.d_value = d_value
+        self.d_model = d_model
         self.policy = policy
         self.total_seen = 0
         self._size = 0
         self._k = np.empty((n_heads, 0, d_key))
-        self._v = np.empty((n_heads, 0, d_value))
+        self._x = np.empty((0, d_model))
         self._pos = np.empty(0, dtype=np.int64)
 
     @property
     def size(self) -> int:
         return self._size
 
+    @property
+    def bytes_per_row(self) -> int:
+        """Key and input-row bytes of one held row."""
+        return self._k.itemsize * self.n_heads * self.d_key + self._x.itemsize * self.d_model
+
     def held(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views of the held rows in storage order: keys ``(H, size, d_key)``,
-        values ``(H, size, d_value)`` and positions ``(size,)``. Once a
+        input rows ``(size, d_model)`` and positions ``(size,)``. Once a
         streaming cache wraps, storage order is not position order."""
         n = self._size
-        return self._k[:, :n], self._v[:, :n], self._pos[:n]
+        return self._k[:, :n], self._x[:n], self._pos[:n]
 
     def _order(self) -> np.ndarray:
         return np.argsort(self._pos[: self._size])
@@ -118,8 +132,8 @@ class LayerCache:
     def keys(self, head: int) -> np.ndarray:
         return self._k[head, self._order()]
 
-    def values(self, head: int) -> np.ndarray:
-        return self._v[head, self._order()]
+    def inputs(self) -> np.ndarray:
+        return self._x[self._order()]
 
     def _reserve(self, rows: int) -> None:
         """Make room for ``rows`` rows. Only unwrapped layouts grow, where
@@ -132,30 +146,30 @@ class LayerCache:
             cap = min(cap, self.policy.w_sink + self.policy.w_recent)
         n = self._size
         k = np.empty((self.n_heads, cap, self.d_key))
-        v = np.empty((self.n_heads, cap, self.d_value))
+        x = np.empty((cap, self.d_model))
         pos = np.empty(cap, dtype=np.int64)
-        k[:, :n], v[:, :n], pos[:n] = self._k[:, :n], self._v[:, :n], self._pos[:n]
-        self._k, self._v, self._pos = k, v, pos
+        k[:, :n], x[:n], pos[:n] = self._k[:, :n], self._x[:n], self._pos[:n]
+        self._k, self._x, self._pos = k, x, pos
 
-    def append(self, new_keys, new_values) -> None:
-        """Add K/V rows for the next tokens, writing only the rows the
-        retention window keeps.
+    def append(self, new_keys, new_inputs) -> None:
+        """Add keys and normalized input rows for the next tokens, writing
+        only the rows the retention window keeps.
 
-        ``new_keys`` is ``(H, t, d_key)`` and ``new_values`` ``(H, t,
-        d_value)``; a list of per-head ``(t, d)`` rows converts to that.
+        ``new_keys`` is ``(H, t, d_key)``, a list of per-head ``(t, d_key)``
+        rows converting to that, and ``new_inputs`` is ``(t, d_model)``.
         """
         try:
-            new_keys, new_values = np.asarray(new_keys), np.asarray(new_values)
+            new_keys, new_inputs = np.asarray(new_keys), np.asarray(new_inputs)
         except ValueError as exc:  # per-head rows of unequal shapes
-            raise ContractViolation(f"per-head K/V rows differ in shape: {exc}") from exc
+            raise ContractViolation(f"per-head key rows differ in shape: {exc}") from exc
         t = new_keys.shape[1] if new_keys.ndim == 3 else -1
-        if new_keys.shape != (self.n_heads, t, self.d_key) or new_values.shape != (
-            self.n_heads, t, self.d_value
+        if new_keys.shape != (self.n_heads, t, self.d_key) or new_inputs.shape != (
+            t, self.d_model
         ):
             raise ContractViolation(
-                f"expected K/V of shape ({self.n_heads}, t, {self.d_key}) and "
-                f"({self.n_heads}, t, {self.d_value}); got {new_keys.shape}, "
-                f"{new_values.shape}"
+                f"expected keys of shape ({self.n_heads}, t, {self.d_key}) and "
+                f"input rows of shape (t, {self.d_model}); got {new_keys.shape}, "
+                f"{new_inputs.shape}"
             )
         start = self.total_seen
         stop = start + t
@@ -178,7 +192,7 @@ class LayerCache:
         for lo, hi, slot in runs:
             rows, dst = slice(lo - start, hi - start), slice(slot, slot + hi - lo)
             self._k[:, dst] = new_keys[:, rows]
-            self._v[:, dst] = new_values[:, rows]
+            self._x[dst] = new_inputs[rows]
             self._pos[dst] = np.arange(lo, hi)
         self.total_seen = stop
         self._size = size
@@ -205,7 +219,7 @@ class LayerCache:
             raise ContractViolation("retention window requested an evicted position")
         rows = np.empty(target.size, dtype=np.int64)
         rows[np.where(target < w_sink, target, w_sink + (target - w_sink) % w_recent)] = target
-        self._k, self._v, self._pos = self._k[:, rows], self._v[:, rows], self._pos[rows]
+        self._k, self._x, self._pos = self._k[:, rows], self._x[rows], self._pos[rows]
         self._size = target.size
 
 
@@ -241,15 +255,18 @@ def memory_stats(meter: MemoryMeter) -> dict:
     }
 
 
-def attend_from_cache(cache: LayerCache, queries, config: ModelConfig) -> np.ndarray:
+def attend_from_cache(cache: LayerCache, queries, w_v, config: ModelConfig) -> np.ndarray:
     """Attention of the most recent query rows over the cache's kept rows.
 
     ``queries`` is head-stacked ``(H, n_q, d_key)``; a list of per-head
-    rows converts to that. Query row j is taken to sit at absolute position
+    rows converts to that. ``w_v`` is the layer's ``(H, d_model, d_value)``
+    value stack. Query row j is taken to sit at absolute position
     ``total_seen - n_q + j``; it may only attend to kept positions at or
     before that. Equals full causal attention restricted to the kept set.
     All heads are scored as one ``(H, n_q, size)`` block over the rows in
-    storage order.
+    storage order; the weighted sums of input rows of all heads then go
+    through W_V as one ``(n_q, H * d_model) @ (H * d_model, d_value)``
+    product.
     """
     if cache.size == 0:
         raise ContractViolation("cannot attend from an empty cache")
@@ -263,7 +280,12 @@ def attend_from_cache(cache: LayerCache, queries, config: ModelConfig) -> np.nda
         raise ContractViolation(
             f"query count {n_q} outside 1..{cache.total_seen}"
         )
-    keys, values, held = cache.held()
+    if w_v.ndim != 3 or w_v.shape[:2] != (cache.n_heads, cache.d_model):
+        raise ContractViolation(
+            f"expected W_V of shape ({cache.n_heads}, {cache.d_model}, d), got {w_v.shape}"
+        )
+    keys, inputs, held = cache.held()
+    w_v = w_v.reshape(cache.n_heads * cache.d_model, -1)
     scores = queries @ keys.transpose(0, 2, 1)
     if config.score_scale != 1.0:
         scores *= config.score_scale
@@ -271,9 +293,9 @@ def attend_from_cache(cache: LayerCache, queries, config: ModelConfig) -> np.nda
     if n_q == 1:
         # Newest position sees every kept row; skip the mask entirely.
         scores -= scores.max(axis=-1, keepdims=True)
-        probs = np.exp(scores, out=scores)
+        probs = np.exp(scores, out=scores).reshape(cache.n_heads, -1)
         probs /= probs.sum(axis=-1, keepdims=True)
-        return (probs @ values).sum(axis=0)
+        return (probs @ inputs).reshape(1, -1) @ w_v
 
     q_pos = np.arange(cache.total_seen - n_q, cache.total_seen, dtype=np.int64)
     allowed = held[None, :] <= q_pos[:, None]
@@ -283,4 +305,4 @@ def attend_from_cache(cache: LayerCache, queries, config: ModelConfig) -> np.nda
         )
     _, probs, sums = _masked_max_and_expsum(scores, allowed)
     probs /= sums[..., None]
-    return (probs @ values).sum(axis=0)
+    return (probs @ inputs).transpose(1, 0, 2).reshape(n_q, -1) @ w_v

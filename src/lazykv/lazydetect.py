@@ -3,13 +3,11 @@
 A layer's lazy ratio is the attention mass that its last ``w_last`` query
 rows place on the streaming retention set (sinks plus the recent window,
 measured relative to each query), averaged over heads and query rows. It
-can be computed two ways that must agree:
-
-* brute force, from explicit causal softmax weights;
-* the log-sum-exp shortcut: per head and query, the kept mass equals
-  ``exp(logsumexp(kept scores) - logsumexp(all causal scores))``, so only a
-  small constant-size score block is ever formed beyond the per-row
-  normalizers the attention pass already implies.
+is computed with the log-sum-exp shortcut: per head and query, the kept
+mass equals ``exp(logsumexp(kept scores) - logsumexp(all causal scores))``,
+so only a small constant-size score block is ever formed beyond the per-row
+normalizers the attention pass already implies. The tests check it against
+the brute-force sum over explicit causal softmax weights.
 
 Selection runs online through a bounded max-priority queue: layers are
 pushed as their ratios become known, and whenever the queue holds more than
@@ -36,8 +34,6 @@ __all__ = [
     "LazyRatioReport",
     "IdentifierState",
     "kept_query_positions",
-    "lazy_ratio_bruteforce",
-    "lazy_ratio_lse",
     "lse_log_ratios",
 ]
 
@@ -63,24 +59,6 @@ class DetectParams:
 def kept_query_positions(query_pos: int, w_sink: int, w_recent: int) -> np.ndarray:
     """Retained key positions for a query: sinks plus the window ending at it."""
     return kept_positions_for(query_pos + 1, w_sink, w_recent)
-
-
-def lazy_ratio_bruteforce(attn_weights, params: DetectParams) -> float:
-    """Kept-set attention mass from explicit causal softmax weights.
-
-    ``attn_weights`` is (H, N, N): one causal softmax matrix per head.
-    """
-    a = np.asarray(attn_weights, dtype=np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
-        raise InputError(f"expected (H, N, N) attention weights, got {a.shape}")
-    n = a.shape[1]
-    mean_heads = a.mean(axis=0)
-    m = min(params.w_last, n)
-    masses = []
-    for q in range(n - m, n):
-        kept = kept_query_positions(q, params.w_sink, params.w_recent)
-        masses.append(mean_heads[q, kept].sum())
-    return float(np.mean(masses))
 
 
 def lse_log_ratios(
@@ -123,17 +101,6 @@ def lse_log_ratios(
     return row_max + np.log(sums) - np.asarray(lse, dtype=np.float64)
 
 
-def lazy_ratio_lse(
-    q_last: Sequence[np.ndarray],
-    keys: Sequence[np.ndarray],
-    lse: Sequence[np.ndarray],
-    params: DetectParams,
-    scale: float = 1.0,
-) -> float:
-    """Kept-set mass via the log-sum-exp shortcut; equals the brute force."""
-    return float(np.exp(lse_log_ratios(q_last, keys, lse, params, scale)).mean())
-
-
 class IdentifierState:
     """Bounded max-priority queue over (lazy ratio, layer index) pairs.
 
@@ -156,9 +123,6 @@ class IdentifierState:
     @property
     def queued_count(self) -> int:
         return len(self._heap)
-
-    def entries(self) -> List[Tuple[float, int]]:
-        return sorted((-r, -i) for (r, i) in self._heap)
 
     def push(self, layer: int, ratio: float) -> Optional[int]:
         """Record a layer's ratio; returns the index popped as lazy, if any."""

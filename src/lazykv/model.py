@@ -3,7 +3,10 @@
 Pre-norm residual blocks. Multi-head attention keeps the output projection
 merged into the per-head value matrices, so each head maps straight back to
 model width and head outputs are summed. Queries, keys and values are
-head-stacked ``(H, n, d)`` arrays. A causal mask over more than
+head-stacked ``(H, n, d)`` arrays. ``project_qkv`` gives only queries and
+keys: decode caches a layer's normalized input rows instead of per-head
+values (see ``kvcache``), so values are formed, as ``x_norm @ W_V``, only
+where full-sequence attention needs them. A causal mask over more than
 ``_PREFILL_BLOCK`` rows runs on a tiled kernel that also gives every row's
 log-sum-exp; the engine's prefill calls that same kernel, so its logits equal
 ``forward_full``'s bit for bit at every prompt length. Two layer-norm modes:
@@ -134,27 +137,28 @@ class Weights:
 class HiddenTrace:
     """Per-layer hidden states from a full forward pass.
 
-    ``xs[0]`` is the input embedding; ``xs[i]`` the i-th block output;
-    ``ys[i-1]`` the post-attention intermediate of block i.
+    ``xs[0]`` is the input embedding; ``xs[i]`` the i-th block output.
     """
 
     xs: List[np.ndarray]
-    ys: List[np.ndarray]
     logits: np.ndarray
 
 
 def ln(x: np.ndarray, mode: str) -> np.ndarray:
     """Row-wise normalization; accepts a single row or a matrix of rows."""
-    x = np.asarray(x, dtype=np.float64)
+    if not isinstance(x, np.ndarray) or x.dtype != np.float64:
+        x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     rows = x[None, :] if single else x
+    # The ndarray sum (and, for rms, division by the width) is what np.sum
+    # and np.mean compute, bit for bit, without their wrapper overhead.
+    squares = (rows * rows).sum(axis=1, keepdims=True)
     if mode == "clip":
-        norms = np.sqrt(np.sum(rows * rows, axis=1, keepdims=True))
+        norms = np.sqrt(squares)
         factor = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
         out = rows * factor
     elif mode == "rms":
-        rms = np.sqrt(np.mean(rows * rows, axis=1, keepdims=True) + RMS_EPS)
-        out = rows / rms
+        out = rows / np.sqrt(squares / rows.shape[1] + RMS_EPS)
     else:
         raise InputError(f"unknown ln mode {mode!r}")
     return out[0] if single else out
@@ -184,13 +188,13 @@ _PREFILL_TILE = 128
 
 def project_qkv(
     x_normed: np.ndarray, weights: Weights, layer: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Head-stacked query/key/value projections of already-normalized rows:
-    ``(H, n, d_head)``, ``(H, n, d_head)`` and ``(H, n, d_model)``."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Head-stacked query and key projections of already-normalized rows,
+    both ``(H, n, d_head)``. Values, ``(H, n, d_model)``, are
+    ``np.matmul(x_normed, weights.w_v[layer])`` where a caller needs them."""
     return (
         np.matmul(x_normed, weights.w_q[layer]),
         np.matmul(x_normed, weights.w_k[layer]),
-        np.matmul(x_normed, weights.w_v[layer]),
     )
 
 
@@ -295,7 +299,8 @@ def mha_forward(
             f"expected (N, {config.d_model}) input, got {x_normed.shape}"
         )
     _check_self_attention_mask(mask, x_normed.shape[0])
-    q, k, v = project_qkv(x_normed, weights, layer)
+    q, k = project_qkv(x_normed, weights, layer)
+    v = np.matmul(x_normed, weights.w_v[layer])
     return mha_from_projections(q, k, v, mask, config.score_scale)
 
 
@@ -329,13 +334,11 @@ def forward_full(tokens, weights: Weights, config: ModelConfig) -> HiddenTrace:
         )
     x = weights.embedding[tokens]
     xs = [x]
-    ys = []
     causal = MaskSpec.causal()
     for layer in range(config.n_layers):
-        y, x = block_forward(x, layer, weights, causal, config)
-        ys.append(y)
+        x = block_forward(x, layer, weights, causal, config)[1]
         xs.append(x)
-    return HiddenTrace(xs=xs, ys=ys, logits=x @ weights.unembed)
+    return HiddenTrace(xs=xs, logits=x @ weights.unembed)
 
 
 def random_init(config: ModelConfig, seed: int, scale: float) -> Weights:

@@ -20,7 +20,6 @@ __all__ = [
     "MaskSpec",
     "matmul",
     "masked_row_softmax",
-    "masked_row_logsumexp",
     "frobenius_norm",
     "row_2inf_norm",
 ]
@@ -129,14 +128,6 @@ def masked_row_softmax(scores, mask: MaskSpec) -> np.ndarray:
     allowed = mask.bool_matrix(*scores.shape)
     _, expd, sums = _masked_max_and_expsum(scores, allowed)
     return expd / sums[:, None]
-
-
-def masked_row_logsumexp(scores, mask: MaskSpec) -> np.ndarray:
-    """Per-row log(sum(exp(score))) over allowed positions, max-stabilized."""
-    scores = _as_matrix(scores, "scores")
-    allowed = mask.bool_matrix(*scores.shape)
-    row_max, _, sums = _masked_max_and_expsum(scores, allowed)
-    return row_max + np.log(sums)
 
 
 def frobenius_norm(m) -> float:

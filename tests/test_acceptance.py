@@ -22,17 +22,13 @@ from lazykv.engine import (
     identification_overhead,
 )
 from lazykv.kvcache import CachePolicy, LayerCache
-from lazykv.lazydetect import (
-    DetectParams,
-    IdentifierState,
-    lazy_ratio_bruteforce,
-    lazy_ratio_lse,
-)
+from lazykv.lazydetect import DetectParams, IdentifierState
 from lazykv.model import ModelConfig, forward_full, random_init
-from lazykv.numerics import MaskSpec, masked_row_logsumexp, masked_row_softmax
+from lazykv.numerics import MaskSpec, masked_row_softmax
 from lazykv.offline import CorpusSample, preselect
 from lazykv.theory import lemma_oracles, verify_theorem
 
+from oracles import lazy_ratio_bruteforce, lazy_ratio_lse, masked_row_logsumexp
 from test_offline import engineered_corpus, engineered_model
 
 
@@ -201,9 +197,7 @@ def test_criterion_05_peak_memory_invariants():
         cache = LayerCache(1, 2, 2, CachePolicy.streaming(w_sink, w_recent))
         for _ in range(int(rng.integers(1, 15))):
             t = int(rng.integers(1, 6))
-            cache.append(
-                [rng.standard_normal((t, 2))], [rng.standard_normal((t, 2))]
-            )
+            cache.append([rng.standard_normal((t, 2))], rng.standard_normal((t, 2)))
             assert cache.size <= w_sink + w_recent
     report(5, "prefill full-cache count <= P+1; streaming rows <= w_sink+w_recent")
 

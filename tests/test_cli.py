@@ -380,6 +380,10 @@ class TestBench:
             assert entry["hybrid"]["decode_tokens_per_s"] > 0
             assert entry["full_baseline"]["peak_rows"] > 0
             assert entry["decode_throughput_ratio"] > 0
+            for variant in ("hybrid", "full_baseline"):
+                # 2 heads of 3 key floats plus one 4-float input row
+                run = entry[variant]
+                assert run["peak_kv_bytes"] == run["peak_rows"] * (2 * 3 + 4) * 8
             assert data["identification_overhead"][n]["ratio"] > 0
 
     def test_p_equals_layers_ratio_near_one(self, tmp_path, model_path):

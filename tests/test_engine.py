@@ -16,7 +16,7 @@ from lazykv.engine import (
 )
 from lazykv.errors import ContractViolation, InputError
 from lazykv.kvcache import kept_positions_for
-from lazykv.lazydetect import DetectParams, lazy_ratio_bruteforce
+from lazykv.lazydetect import DetectParams
 from lazykv.model import (
     _PREFILL_BLOCK,
     _PREFILL_TILE,
@@ -28,7 +28,9 @@ from lazykv.model import (
     ln,
     random_init,
 )
-from lazykv.numerics import MaskSpec, masked_row_logsumexp, masked_row_softmax
+from lazykv.numerics import MaskSpec, masked_row_softmax
+
+from oracles import lazy_ratio_bruteforce, masked_row_logsumexp
 
 
 def make_model(seed, n_layers=2, n_heads=2, d_model=4, d_head=3, vocab=9, **kw):
@@ -375,6 +377,47 @@ class TestGenerate:
         session.generate_greedy(random_prompt(np.random.default_rng(33), config, 30), 20)
         for cache in session.caches:
             assert cache.size <= detect.w_sink + detect.w_recent
+
+
+class TestCacheBytes:
+    def test_peak_kv_bytes_prices_each_row_at_keys_plus_one_input_row(self):
+        config, weights = make_model(34, n_layers=3, n_heads=3, d_model=5, d_head=2)
+        detect = DetectParams(w_last=2, w_sink=1, w_recent=4, n_full=1)
+        session = Session(weights, config, EngineParams(detect=detect))
+        session.generate_greedy(random_prompt(np.random.default_rng(35), config, 12), 4)
+        report = session.run_report()
+        assert report["peak_rows"] == session.meter.peak_total > 0
+        row = (config.n_heads * config.d_head + config.d_model) * 8
+        assert report["peak_kv_bytes"] == report["peak_rows"] * row
+
+    def test_benchmark_model_buffers_hold_1024_bytes_per_row(self):
+        # 8 layers, 4 heads, d_model 64, d_head 16: 4 * 16 key floats plus
+        # 64 input-row floats, where per-head value rows would add 4 * 64.
+        config = ModelConfig(
+            n_layers=8, n_heads=4, d_model=64, d_head=16, vocab_size=256,
+            ln_mode="rms", logit_scaling="inv_sqrt_dk",
+        )
+        weights = random_init(config, 1, 0.2)
+        prompt = random_prompt(np.random.default_rng(36), config, 1024)
+
+        def prefill(w_recent):
+            policy = PolicyFile(fingerprint="", lazy_layers=[1, 3, 5, 7], w_sink=4,
+                                w_recent=w_recent, provenance="manual")
+            session = Session(weights, config, EngineParams(policy=policy))
+            session.prefill(prompt)
+            return session.caches
+
+        def buffer_bytes(cache):
+            return cache._k.nbytes + cache._x.nbytes
+
+        for cache in prefill(1020):  # 4 + 1020 holds the whole prompt
+            assert cache.size == 1024
+            assert buffer_bytes(cache) == 1024 * cache.size
+        caches = prefill(60)
+        for layer, cache in enumerate(caches):
+            rows = 4 + 60 if layer % 2 else 1024
+            assert cache.size == cache._k.shape[1] == cache._x.shape[0] == rows
+            assert buffer_bytes(cache) == 1024 * rows
 
 
 class TestReplay:

@@ -26,9 +26,9 @@ def kept_oracle(total, w_sink, w_recent):
 
 def fill_cache(cache, rng, t):
     ks = [rng.standard_normal((t, cache.d_key)) for _ in range(cache.n_heads)]
-    vs = [rng.standard_normal((t, cache.d_value)) for _ in range(cache.n_heads)]
-    cache.append(ks, vs)
-    return ks, vs
+    xs = rng.standard_normal((t, cache.d_model))
+    cache.append(ks, xs)
+    return ks, xs
 
 
 class TestAppendAndEvict:
@@ -59,21 +59,25 @@ class TestAppendAndEvict:
     def test_width_mismatch_rejected(self):
         cache = LayerCache(1, 2, 3, CachePolicy.full())
         with pytest.raises(ContractViolation):
-            cache.append([np.zeros((1, 5))], [np.zeros((1, 3))])
+            cache.append([np.zeros((1, 5))], np.zeros((1, 3)))
+        with pytest.raises(ContractViolation):
+            cache.append([np.zeros((1, 2))], np.zeros((1, 4)))
+        with pytest.raises(ContractViolation):  # one input row for two tokens
+            cache.append([np.zeros((2, 2))], np.zeros((1, 3)))
 
     def test_evicted_rows_are_the_right_ones(self):
         rng = np.random.default_rng(3)
         cache = LayerCache(1, 2, 2, CachePolicy.streaming(2, 3))
-        rows_k, rows_v = [], []
+        rows_k, rows_x = [], []
         for _ in range(9):
-            ks, vs = fill_cache(cache, rng, 1)
+            ks, xs = fill_cache(cache, rng, 1)
             rows_k.append(ks[0][0])
-            rows_v.append(vs[0][0])
+            rows_x.append(xs[0])
         kept = cache.kept_positions.tolist()
         assert kept == kept_oracle(9, 2, 3)
         for slot, pos in enumerate(kept):
             assert np.array_equal(cache.keys(0)[slot], rows_k[pos])
-            assert np.array_equal(cache.values(0)[slot], rows_v[pos])
+            assert np.array_equal(cache.inputs()[slot], rows_x[pos])
 
 
 class TestTransfer:
@@ -115,16 +119,16 @@ class TestTransfer:
         rng = np.random.default_rng(7)
         cache = LayerCache(2, 3, 4, CachePolicy.full())
         fill_cache(cache, rng, prompt)
-        before = cache._k, cache._v
+        before = cache._k, cache._x
         cache.transfer_to_streaming(w_sink, w_recent)
-        buffers = cache._k, cache._v
+        buffers = cache._k, cache._x
         if prompt > w_sink + w_recent:
-            assert all(b.shape[1] == w_sink + w_recent for b in buffers)
+            assert buffers[0].shape[1] == buffers[1].shape[0] == w_sink + w_recent
         else:
             assert buffers[0] is before[0] and buffers[1] is before[1]
         for _ in range(3 * w_recent):
             fill_cache(cache, rng, 1)
-            assert cache._k is buffers[0] and cache._v is buffers[1]
+            assert cache._k is buffers[0] and cache._x is buffers[1]
         assert cache.size == w_sink + w_recent
 
 
@@ -138,9 +142,9 @@ class TestAttendFromCache:
 
     def project_and_fill(self, config, weights, x, policy):
         x_norm = ln(x, config.ln_mode)
-        qs, ks, vs = project_qkv(x_norm, weights, 0)
+        qs, ks = project_qkv(x_norm, weights, 0)
         cache = LayerCache(config.n_heads, config.d_head, config.d_model, policy)
-        cache.append(ks, vs)
+        cache.append(ks, x_norm)
         return cache, qs
 
     def test_full_cache_equals_causal_mha(self):
@@ -148,7 +152,7 @@ class TestAttendFromCache:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((9, config.d_model))
         cache, qs = self.project_and_fill(config, weights, x, CachePolicy.full())
-        out = attend_from_cache(cache, qs, config)
+        out = attend_from_cache(cache, qs, weights.w_v[0], config)
         expect = mha_forward(ln(x, config.ln_mode), weights, 0, MaskSpec.causal(), config)
         assert np.allclose(out, expect, atol=1e-12, rtol=0)
 
@@ -159,7 +163,7 @@ class TestAttendFromCache:
         cache, qs = self.project_and_fill(
             config, weights, x, CachePolicy.streaming(4, 8)
         )
-        out = attend_from_cache(cache, qs, config)
+        out = attend_from_cache(cache, qs, weights.w_v[0], config)
         expect = mha_forward(ln(x, config.ln_mode), weights, 0, MaskSpec.causal(), config)
         assert np.allclose(out, expect, atol=1e-12, rtol=0)
 
@@ -169,13 +173,14 @@ class TestAttendFromCache:
         n, w_sink, w_recent = 64, 2, 8
         x = rng.standard_normal((n, config.d_model))
         x_norm = ln(x, config.ln_mode)
-        qs, ks, vs = project_qkv(x_norm, weights, 0)
+        qs, ks = project_qkv(x_norm, weights, 0)
+        vs = np.matmul(x_norm, weights.w_v[0])
         cache = LayerCache(config.n_heads, config.d_head, config.d_model,
                            CachePolicy.streaming(w_sink, w_recent))
-        cache.append(ks, vs)
+        cache.append(ks, x_norm)
         kept = kept_oracle(n, w_sink, w_recent)
         n_q = len(kept)
-        out = attend_from_cache(cache, [q[n - n_q:] for q in qs], config)
+        out = attend_from_cache(cache, [q[n - n_q:] for q in qs], weights.w_v[0], config)
 
         # brute force: each query row attends over kept positions <= its own
         expect = np.zeros((n_q, config.d_model))
@@ -190,23 +195,31 @@ class TestAttendFromCache:
         assert np.allclose(out, expect, atol=1e-10)
 
     def test_empty_cache_rejected(self):
-        config, _ = self.make_model(13)
+        config, weights = self.make_model(13)
         cache = LayerCache(config.n_heads, config.d_head, config.d_model, CachePolicy.full())
         with pytest.raises(ContractViolation):
-            attend_from_cache(cache, [np.zeros((1, 3))] * config.n_heads, config)
+            attend_from_cache(cache, [np.zeros((1, 3))] * config.n_heads, weights.w_v[0], config)
 
     def test_query_with_no_visible_rows_rejected(self):
         config, weights = self.make_model(14)
         rng = np.random.default_rng(15)
         x = rng.standard_normal((12, config.d_model))
         x_norm = ln(x, config.ln_mode)
-        qs, ks, vs = project_qkv(x_norm, weights, 0)
+        qs, ks = project_qkv(x_norm, weights, 0)
         cache = LayerCache(config.n_heads, config.d_head, config.d_model,
                            CachePolicy.streaming(0, 3))
-        cache.append(ks, vs)
+        cache.append(ks, x_norm)
         # earliest query sits at position 4 < first kept position 9
         with pytest.raises(ContractViolation):
-            attend_from_cache(cache, [q[-8:] for q in qs], config)
+            attend_from_cache(cache, [q[-8:] for q in qs], weights.w_v[0], config)
+
+    def test_value_stack_of_the_wrong_shape_rejected(self):
+        config, weights = self.make_model(16)
+        x = np.random.default_rng(17).standard_normal((5, config.d_model))
+        cache, qs = self.project_and_fill(config, weights, x, CachePolicy.full())
+        for w_v in (weights.w_v[0, :1], weights.w_v[0, :, :2], weights.w_v[0, 0]):
+            with pytest.raises(ContractViolation):
+                attend_from_cache(cache, qs, w_v, config)
 
 
 class TestMemoryMeter:
@@ -271,11 +284,12 @@ class TestProperties:
             for step_rng in (np.random.default_rng(100),):
                 for _ in range(k):
                     row_k = [step_rng.standard_normal((1, 2))]
-                    row_v = [step_rng.standard_normal((1, 2))]
-                    a.append([r.copy() for r in row_k], [r.copy() for r in row_v])
-                    b.append(row_k, row_v)
+                    row_x = step_rng.standard_normal((1, 2))
+                    a.append([r.copy() for r in row_k], row_x.copy())
+                    b.append(row_k, row_x)
             assert a.kept_positions.tolist() == b.kept_positions.tolist()
             assert np.array_equal(a.keys(0), b.keys(0))
+            assert np.array_equal(a.inputs(), b.inputs())
 
 
 @st.composite
@@ -285,6 +299,7 @@ def cache_script(draw):
     w_recent = draw(st.integers(1, 6))
     return dict(
         n_heads=draw(st.integers(1, 3)),
+        d_value=draw(st.integers(1, 5)),
         w_sink=draw(st.integers(0, 4)),
         w_recent=w_recent,
         streaming=draw(st.booleans()),
@@ -295,9 +310,10 @@ def cache_script(draw):
     )
 
 
-def check_against_appended_rows(cache, all_k, all_v, rng, logit_scaling):
+def check_against_appended_rows(cache, all_k, all_x, w_v, rng, logit_scaling):
     """Contents in position order equal the appended rows, and attention
-    matches a masked-softmax oracle over those rows for n_q = 1 and n_q > 1."""
+    matches a masked-softmax oracle over explicit per-head values
+    V_h = X W_V,h of those rows, for n_q = 1 and n_q > 1."""
     total = cache.total_seen
     pol = cache.policy
     if pol.kind == "streaming":
@@ -306,12 +322,12 @@ def check_against_appended_rows(cache, all_k, all_v, rng, logit_scaling):
         kept = np.arange(total)
     assert np.array_equal(cache.kept_positions, kept)
     assert cache.size == kept.size
+    assert np.array_equal(cache.inputs(), all_x[kept])
     for h in range(cache.n_heads):
         assert np.array_equal(cache.keys(h), all_k[h][kept])
-        assert np.array_equal(cache.values(h), all_v[h][kept])
 
     config = ModelConfig(
-        n_layers=1, n_heads=cache.n_heads, d_model=cache.d_value, d_head=cache.d_key,
+        n_layers=1, n_heads=cache.n_heads, d_model=cache.d_model, d_head=cache.d_key,
         vocab_size=2, logit_scaling=logit_scaling,
     )
     scale = config.score_scale
@@ -321,10 +337,12 @@ def check_against_appended_rows(cache, all_k, all_v, rng, logit_scaling):
         q_pos = np.arange(total - n_q, total)
         mask = MaskSpec.lazy_set([np.flatnonzero(kept <= p) for p in q_pos])
         expect = sum(
-            masked_row_softmax((qs[h] @ all_k[h][kept].T) * scale, mask) @ all_v[h][kept]
+            masked_row_softmax((qs[h] @ all_k[h][kept].T) * scale, mask)
+            @ (all_x[kept] @ w_v[h])
             for h in range(cache.n_heads)
         )
-        got = attend_from_cache(cache, qs, config)
+        got = attend_from_cache(cache, qs, w_v, config)
+        assert got.shape == (n_q, w_v.shape[2])
         assert np.allclose(got, expect, atol=1e-12, rtol=0)
 
 
@@ -332,22 +350,25 @@ def check_against_appended_rows(cache, all_k, all_v, rng, logit_scaling):
 @given(cache_script())
 def test_random_appends_keep_the_window_contents(script):
     rng = np.random.default_rng(script["seed"])
-    d_key, d_value, n_heads = 2, 4, script["n_heads"]
+    d_key, d_model, n_heads = 2, 4, script["n_heads"]
     w_sink, w_recent = script["w_sink"], script["w_recent"]
     policy = (
         CachePolicy.streaming(w_sink, w_recent) if script["streaming"] else CachePolicy.full()
     )
-    cache = LayerCache(n_heads, d_key, d_value, policy)
+    cache = LayerCache(n_heads, d_key, d_model, policy)
+    w_v = rng.standard_normal((n_heads, d_model, script["d_value"]))
     all_k = np.empty((n_heads, 0, d_key))
-    all_v = np.empty((n_heads, 0, d_value))
+    all_x = np.empty((0, d_model))
     for i, t in enumerate(script["appends"] + [0]):
         if i == script["transfer_at"] and not script["streaming"]:
             cache.transfer_to_streaming(w_sink, w_recent)
             if cache.total_seen:
-                check_against_appended_rows(cache, all_k, all_v, rng, script["logit_scaling"])
+                check_against_appended_rows(
+                    cache, all_k, all_x, w_v, rng, script["logit_scaling"]
+                )
         if t == 0:
             break
-        ks, vs = fill_cache(cache, rng, t)
+        ks, xs = fill_cache(cache, rng, t)
         all_k = np.concatenate([all_k, np.stack(ks)], axis=1)
-        all_v = np.concatenate([all_v, np.stack(vs)], axis=1)
-        check_against_appended_rows(cache, all_k, all_v, rng, script["logit_scaling"])
+        all_x = np.concatenate([all_x, xs])
+        check_against_appended_rows(cache, all_k, all_x, w_v, rng, script["logit_scaling"])

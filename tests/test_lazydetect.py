@@ -8,11 +8,11 @@ from lazykv.lazydetect import (
     DetectParams,
     IdentifierState,
     kept_query_positions,
-    lazy_ratio_bruteforce,
-    lazy_ratio_lse,
     lse_log_ratios,
 )
-from lazykv.numerics import MaskSpec, masked_row_logsumexp, masked_row_softmax
+from lazykv.numerics import MaskSpec, masked_row_softmax
+
+from oracles import lazy_ratio_bruteforce, lazy_ratio_lse, masked_row_logsumexp
 
 
 def kept_oracle(q, w_sink, w_recent):

@@ -5,10 +5,12 @@ import pytest
 
 from lazykv.engine import EngineParams, Session
 from lazykv.errors import InputError
-from lazykv.lazydetect import DetectParams, lazy_ratio_bruteforce
+from lazykv.lazydetect import DetectParams
 from lazykv.model import ModelConfig, forward_full, ln, random_init
 from lazykv.numerics import MaskSpec, masked_row_softmax
 from lazykv.offline import CorpusSample, FrequencyTable, load_corpus, preselect
+
+from oracles import lazy_ratio_bruteforce
 
 
 def make_model(seed, n_layers=3):
