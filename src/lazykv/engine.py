@@ -5,14 +5,14 @@ prefill logits match the plain model; what varies is cache retention
 afterwards. Prefill makes the same attention call as ``forward_full`` at
 every length, so its logits are bit-identical to the plain model's. Prompts
 of up to ``_PREFILL_BLOCK`` (64) tokens run on the model's per-head path;
-longer ones on the model's tiled causal kernel over head-stacked arrays,
-which also returns every row's log-sum-exp.
+longer ones on the model's tiled causal kernel, one ``numerics.attend``
+call per query tile, which also returns every row's log-sum-exp.
 
 * online mode: after each layer's attention, its lazy ratio is computed
-  from the log-sum-exp shortcut and pushed into a bounded priority queue.
-  Above ``_PREFILL_BLOCK`` the full-causal lse of the trailing rows is read
-  from the kernel's output; at or below it, the kernel's tile routine runs
-  once over just those rows.
+  from the log-sum-exp shortcut (``lse_log_ratios``) and pushed into a
+  bounded priority queue. Above ``_PREFILL_BLOCK`` the full-causal lse of
+  the trailing rows is read from the kernel's output; at or below it, one
+  ``attend`` call over just those rows gives it.
   A popped layer has its cache shrunk to the streaming window immediately,
   freeing memory mid-prefill. Hidden states of already-processed layers are
   never recomputed, so any divergence from the plain model appears only at
@@ -25,7 +25,10 @@ Decode runs one token at a time; each layer appends the new key rows and
 its normalized input row under its policy and attends over whatever the
 cache retained. The cache holds no per-head values: ``attend_from_cache``
 weights the held input rows and applies the layer's W_V after the sum, so
-a held row costs ``(n_heads * d_head + d_model) * 8`` bytes.
+a held row costs ``(n_heads * d_head + d_model) * 8`` bytes. A session with
+``mass_probe`` set also makes two ``attend`` calls per layer without values,
+over all held rows and over the probe's window, and records the kept mass
+``exp(lse_keep - lse)``.
 """
 
 from __future__ import annotations
@@ -39,25 +42,18 @@ import numpy as np
 
 from .errors import ContractViolation, InputError
 from .kvcache import CachePolicy, LayerCache, MemoryMeter, attend_from_cache
-from .lazydetect import (
-    DetectParams,
-    IdentifierState,
-    LazyRatioReport,
-    kept_query_positions,
-    lse_log_ratios,
-)
+from .lazydetect import DetectParams, IdentifierState, LazyRatioReport, lse_log_ratios
 from .model import (
     _PREFILL_BLOCK,
     ModelConfig,
     Weights,
     _causal_attention,
-    _causal_tile,
     ffn_forward,
     ln,
     mha_from_projections,
     project_qkv,
 )
-from .numerics import MaskSpec
+from .numerics import MaskSpec, attend
 
 __all__ = [
     "PolicyFile",
@@ -263,10 +259,11 @@ class Session:
             self._observe()
             if online:
                 # The tiled pass already holds every row's lse; short prompts
-                # run one tile over just the last m rows.
+                # run one attend call over just the last m rows.
                 q_last = q[:, n - m :]
                 if lse is None:
-                    _, lse = _causal_tile(q_last, k, None, scale, n - m)
+                    pos = np.arange(n)
+                    _, lse = attend(q_last, k, scale, pos[n - m :], pos)
                 else:
                     lse = lse[:, n - m :]
                 head_logs = lse_log_ratios(q_last, k, lse, detect, scale)
@@ -327,10 +324,15 @@ class Session:
         for layer in range(cfg.n_layers):
             x_norm = ln(x, cfg.ln_mode)
             q, k = project_qkv(x_norm, self.weights, layer)
-            self.caches[layer].append(k, x_norm)
-            attn = attend_from_cache(self.caches[layer], q, self.weights.w_v[layer], cfg)
+            cache = self.caches[layer]
+            cache.append(k, x_norm)
+            attn = attend_from_cache(cache, q, self.weights.w_v[layer], cfg)
             if probe_masses is not None:
-                probe_masses[layer] = self._kept_mass_of_newest(self.caches[layer], q)
+                keys, _, held = cache.held()
+                _, lse = attend(q, keys, cfg.score_scale)
+                newest = np.array([cache.total_seen - 1])
+                _, kept = attend(q, keys, cfg.score_scale, newest, held, keep=self.mass_probe)
+                probe_masses[layer] = float(np.exp(kept - lse).mean())
             x = x + attn
             x = x + ffn_forward(ln(x, cfg.ln_mode), self.weights, layer, cfg)
         if probe_masses is not None:
@@ -340,19 +342,6 @@ class Session:
         logits = (x @ self.weights.unembed)[0]
         self.decode_seconds.append(time.perf_counter() - t0)
         return logits
-
-    def _kept_mass_of_newest(self, cache: LayerCache, q: np.ndarray) -> float:
-        w_sink, w_recent = self.mass_probe
-        target = kept_query_positions(cache.total_seen - 1, w_sink, w_recent)
-        keys, _, held = cache.held()
-        # One (H, 1, size) block over the rows in storage order; the
-        # selection reads positions in that same order.
-        scores = q @ keys.transpose(0, 2, 1)
-        if self.config.score_scale != 1.0:
-            scores *= self.config.score_scale
-        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        probs /= probs.sum(axis=-1, keepdims=True)
-        return float(probs[..., np.isin(held, target)].sum(axis=-1).mean())
 
     def generate_greedy(self, prompt_tokens, max_new_tokens: Optional[int] = None) -> List[int]:
         """Greedy continuation; argmax ties resolve to the smallest token id."""

@@ -12,7 +12,8 @@ can never be needed again. A full cache stores position ``p`` in row ``p``.
 
 Because the slot depends only on the position, every path that holds the
 same positions (online, static replay, full-then-transfer) has the same
-physical layout. Attention runs over the rows in that storage order: the
+physical layout. ``attend_from_cache`` passes the held rows to
+``numerics.attend`` in that storage order, with their positions: the
 softmax over keys does not depend on their order, and multi-row queries
 mask by held position. ``kept_positions``, ``keys`` and ``inputs`` return
 rows in position order.
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .model import ModelConfig
-from .numerics import _masked_max_and_expsum
+from .numerics import attend
 
 __all__ = [
     "CachePolicy",
@@ -46,7 +47,6 @@ __all__ = [
     "MemoryMeter",
     "kept_positions_for",
     "attend_from_cache",
-    "memory_stats",
 ]
 
 _MIN_CAPACITY = 64
@@ -155,13 +155,8 @@ class LayerCache:
         """Add keys and normalized input rows for the next tokens, writing
         only the rows the retention window keeps.
 
-        ``new_keys`` is ``(H, t, d_key)``, a list of per-head ``(t, d_key)``
-        rows converting to that, and ``new_inputs`` is ``(t, d_model)``.
+        ``new_keys`` is ``(H, t, d_key)`` and ``new_inputs`` is ``(t, d_model)``.
         """
-        try:
-            new_keys, new_inputs = np.asarray(new_keys), np.asarray(new_inputs)
-        except ValueError as exc:  # per-head rows of unequal shapes
-            raise ContractViolation(f"per-head key rows differ in shape: {exc}") from exc
         t = new_keys.shape[1] if new_keys.ndim == 3 else -1
         if new_keys.shape != (self.n_heads, t, self.d_key) or new_inputs.shape != (
             t, self.d_model
@@ -225,52 +220,33 @@ class LayerCache:
 
 @dataclass
 class MemoryMeter:
-    """Tracks instantaneous and peak cached-row counts per layer and overall."""
+    """Tracks the latest cached-row count per layer and the peak total."""
 
     layer_rows: List[int] = field(default_factory=list)
-    layer_peaks: List[int] = field(default_factory=list)
     peak_total: int = 0
 
     def record(self, sizes: Sequence[int]) -> None:
-        sizes = list(sizes)
-        if len(self.layer_rows) < len(sizes):
-            grow = len(sizes) - len(self.layer_rows)
-            self.layer_rows.extend([0] * grow)
-            self.layer_peaks.extend([0] * grow)
-        self.layer_rows[: len(sizes)] = sizes
-        for i, s in enumerate(sizes):
-            if s > self.layer_peaks[i]:
-                self.layer_peaks[i] = s
-        total = sum(sizes)
+        self.layer_rows = list(sizes)
+        total = sum(self.layer_rows)
         if total > self.peak_total:
             self.peak_total = total
-
-
-def memory_stats(meter: MemoryMeter) -> dict:
-    return {
-        "rows_per_layer": list(meter.layer_rows),
-        "peak_rows_per_layer": list(meter.layer_peaks),
-        "total_rows": sum(meter.layer_rows),
-        "peak_total_rows": meter.peak_total,
-    }
 
 
 def attend_from_cache(cache: LayerCache, queries, w_v, config: ModelConfig) -> np.ndarray:
     """Attention of the most recent query rows over the cache's kept rows.
 
-    ``queries`` is head-stacked ``(H, n_q, d_key)``; a list of per-head
-    rows converts to that. ``w_v`` is the layer's ``(H, d_model, d_value)``
-    value stack. Query row j is taken to sit at absolute position
-    ``total_seen - n_q + j``; it may only attend to kept positions at or
-    before that. Equals full causal attention restricted to the kept set.
-    All heads are scored as one ``(H, n_q, size)`` block over the rows in
-    storage order; the weighted sums of input rows of all heads then go
-    through W_V as one ``(n_q, H * d_model) @ (H * d_model, d_value)``
-    product.
+    ``queries`` is head-stacked ``(H, n_q, d_key)``. ``w_v`` is the layer's
+    ``(H, d_model, d_value)`` value stack. Query row j is taken to sit at
+    absolute position ``total_seen - n_q + j``; it may only attend to kept
+    positions at or before that. Equals full causal attention restricted to
+    the kept set. One ``attend`` call scores all heads over the rows in
+    storage order and weights the shared input rows; the newest position
+    alone sees every kept row, so a one-row query passes no positions and
+    does no mask work. The weighted sums of all heads then go through W_V
+    as one ``(n_q, H * d_model) @ (H * d_model, d_value)`` product.
     """
     if cache.size == 0:
         raise ContractViolation("cannot attend from an empty cache")
-    queries = np.asarray(queries)
     if queries.ndim != 3 or queries.shape[0] != cache.n_heads:
         raise ContractViolation(
             f"expected {cache.n_heads} heads of query rows, got shape {queries.shape}"
@@ -285,24 +261,9 @@ def attend_from_cache(cache: LayerCache, queries, w_v, config: ModelConfig) -> n
             f"expected W_V of shape ({cache.n_heads}, {cache.d_model}, d), got {w_v.shape}"
         )
     keys, inputs, held = cache.held()
+    q_pos = None
+    if n_q > 1:
+        q_pos = np.arange(cache.total_seen - n_q, cache.total_seen, dtype=np.int64)
+    out, _ = attend(queries, keys, config.score_scale, q_pos, held, inputs)
     w_v = w_v.reshape(cache.n_heads * cache.d_model, -1)
-    scores = queries @ keys.transpose(0, 2, 1)
-    if config.score_scale != 1.0:
-        scores *= config.score_scale
-
-    if n_q == 1:
-        # Newest position sees every kept row; skip the mask entirely.
-        scores -= scores.max(axis=-1, keepdims=True)
-        probs = np.exp(scores, out=scores).reshape(cache.n_heads, -1)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        return (probs @ inputs).reshape(1, -1) @ w_v
-
-    q_pos = np.arange(cache.total_seen - n_q, cache.total_seen, dtype=np.int64)
-    allowed = held[None, :] <= q_pos[:, None]
-    if not allowed.any(axis=1).all():
-        raise ContractViolation(
-            "a query position has no cached rows at or before it"
-        )
-    _, probs, sums = _masked_max_and_expsum(scores, allowed)
-    probs /= sums[..., None]
-    return (probs @ inputs).transpose(1, 0, 2).reshape(n_q, -1) @ w_v
+    return out.transpose(1, 0, 2).reshape(n_q, -1) @ w_v

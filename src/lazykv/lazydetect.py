@@ -4,10 +4,12 @@ A layer's lazy ratio is the attention mass that its last ``w_last`` query
 rows place on the streaming retention set (sinks plus the recent window,
 measured relative to each query), averaged over heads and query rows. It
 is computed with the log-sum-exp shortcut: per head and query, the kept
-mass equals ``exp(logsumexp(kept scores) - logsumexp(all causal scores))``,
-so only a small constant-size score block is ever formed beyond the per-row
-normalizers the attention pass already implies. The tests check it against
-the brute-force sum over explicit causal softmax weights.
+mass equals ``exp(logsumexp(kept scores) - logsumexp(all causal scores))``.
+The second term is read from the prefill attention pass; the first comes
+from one ``numerics.attend`` call with the retention window as its
+``keep`` predicate, over a gathered block of the sink and window columns,
+so only a small constant-size score block is formed. The tests check it
+against the brute-force sum over explicit causal softmax weights.
 
 Selection runs online through a bounded max-priority queue: layers are
 pushed as their ratios become known, and whenever the queue holds more than
@@ -21,19 +23,18 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import ContractViolation, InputError
 from .kvcache import kept_positions_for
-from .numerics import _masked_max_and_expsum
+from .numerics import attend
 
 __all__ = [
     "DetectParams",
     "LazyRatioReport",
     "IdentifierState",
-    "kept_query_positions",
     "lse_log_ratios",
 ]
 
@@ -56,49 +57,35 @@ class DetectParams:
             raise InputError("n_full must be >= 0")
 
 
-def kept_query_positions(query_pos: int, w_sink: int, w_recent: int) -> np.ndarray:
-    """Retained key positions for a query: sinks plus the window ending at it."""
-    return kept_positions_for(query_pos + 1, w_sink, w_recent)
-
-
 def lse_log_ratios(
-    q_last: Sequence[np.ndarray],
-    keys: Sequence[np.ndarray],
-    lse: Sequence[np.ndarray],
+    q_last: np.ndarray,
+    keys: np.ndarray,
+    lse: np.ndarray,
     params: DetectParams,
     scale: float = 1.0,
 ) -> np.ndarray:
-    """Per-head, per-query log of the kept-set attention mass.
+    """Per-head, per-query log of the kept-set attention mass, ``(H, m)``.
 
-    ``q_last[h]`` holds the last query rows of head h, ``keys[h]`` all of
-    its key rows, and ``lse[h]`` the full causal per-row log-sum-exp for
-    those same query rows, computed under the same score scaling. Lists of
-    per-head arrays and head-stacked arrays are both accepted. The kept-set
-    scores come from one gathered (H, m, U) block over the union U of the
-    rows' retention sets, each row masked to its own set.
+    ``q_last`` is ``(H, m, d_key)``, the last m query rows; ``keys`` is
+    ``(H, n, d_key)``, all key rows; ``lse`` is ``(H, m)``, the full causal
+    per-row log-sum-exp of those same query rows under the same score
+    scaling. The kept-set scores come from one gathered (H, m, U) block over
+    the union U of the rows' retention sets, each row masked to its own set.
     """
-    n_heads = len(q_last)
-    if len(keys) != n_heads or len(lse) != n_heads:
+    if q_last.ndim != 3 or keys.ndim != 3 or lse.shape != q_last.shape[:2]:
         raise ContractViolation(
-            f"head counts differ: {n_heads} queries, {len(keys)} keys, "
-            f"{len(lse)} lse rows"
+            f"expected (H, m, d) query rows, (H, n, d) keys and (H, m) lse; got "
+            f"{q_last.shape}, {keys.shape} and {lse.shape}"
         )
-    m = q_last[0].shape[0]
-    if any(q.shape[0] != m for q in q_last) or any(r.shape[0] != m for r in lse):
-        raise ContractViolation("query/lse row counts differ across heads")
-    q = np.asarray(q_last, dtype=np.float64)
-    k = np.asarray(keys, dtype=np.float64)
-    n = k.shape[1]
+    m, n = q_last.shape[1], keys.shape[1]
     # Every column some trailing query keeps: the sinks plus the recent
     # window of the first of those queries stretched to the last one.
     cols = kept_positions_for(n, params.w_sink, params.w_recent + m - 1)
-    q_pos = np.arange(n - m, n, dtype=np.int64)[:, None]
-    kept = (cols <= q_pos) & ((cols < params.w_sink) | (cols > q_pos - params.w_recent))
-    scores = np.matmul(q, k[:, cols].transpose(0, 2, 1))
-    if scale != 1.0:
-        scores *= scale
-    row_max, _, sums = _masked_max_and_expsum(scores, kept)
-    return row_max + np.log(sums) - np.asarray(lse, dtype=np.float64)
+    q_pos = np.arange(n - m, n, dtype=np.int64)
+    _, kept = attend(
+        q_last, keys[:, cols], scale, q_pos, cols, keep=(params.w_sink, params.w_recent)
+    )
+    return kept - lse
 
 
 class IdentifierState:
@@ -119,10 +106,6 @@ class IdentifierState:
         self._heap: List[Tuple[float, int]] = []  # (-ratio, -layer)
         self._pushed = set()
         self.lazy_layers: List[int] = []
-
-    @property
-    def queued_count(self) -> int:
-        return len(self._heap)
 
     def push(self, layer: int, ratio: float) -> Optional[int]:
         """Record a layer's ratio; returns the index popped as lazy, if any."""

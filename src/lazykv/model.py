@@ -7,9 +7,10 @@ head-stacked ``(H, n, d)`` arrays. ``project_qkv`` gives only queries and
 keys: decode caches a layer's normalized input rows instead of per-head
 values (see ``kvcache``), so values are formed, as ``x_norm @ W_V``, only
 where full-sequence attention needs them. A causal mask over more than
-``_PREFILL_BLOCK`` rows runs on a tiled kernel that also gives every row's
-log-sum-exp; the engine's prefill calls that same kernel, so its logits equal
-``forward_full``'s bit for bit at every prompt length. Two layer-norm modes:
+``_PREFILL_BLOCK`` rows runs on ``_causal_attention``, one ``numerics.attend``
+call per query tile, which also gives every row's log-sum-exp; the engine's
+prefill calls that same kernel, so its logits equal ``forward_full``'s bit
+for bit at every prompt length. Two layer-norm modes:
 
 * ``clip``: identity while a row's Euclidean norm is <= 1, else rescale the
   row to unit norm. This is the mode the error bounds are stated for.
@@ -41,7 +42,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ContractViolation, InputError
-from .numerics import MaskSpec, masked_row_softmax
+from .numerics import MaskSpec, attend, masked_row_softmax
 
 __all__ = [
     "ACTIVATIONS",
@@ -164,18 +165,21 @@ def ln(x: np.ndarray, mode: str) -> np.ndarray:
     return out[0] if single else out
 
 
-# Query rows above which a causal mask runs on the tiled kernel below. It is
-# not 0, for two reasons:
+# Query rows above which a causal mask runs on ``_causal_attention`` below,
+# one ``numerics.attend`` call per tile. It is not 0, for two reasons:
 # 1. At or below it, causal and explicit ``lazy_set`` masks share one
 #    per-head path, so a causal mask and the prefix sets it stands for give
 #    bit-identical output at the sizes the theory checks use (at most 24
 #    tokens), and the vacuous-mask run of the bound checker has zero error.
-# 2. The benchmark's smoke tests count the per-head ``masked_row_softmax``
-#    calls of prompts of up to 64 tokens, which take that path.
+# 2. The benchmark's smoke tests (``perfbench/test_perfbench.py``) pin
+#    prompts of up to 64 tokens to one ``mha_from_projections`` call per
+#    layer and H per-head ``masked_row_softmax`` calls. Lifting that needs a
+#    change to the benchmark alone first (ROADMAP item A).
 # Above it the kernel is not slower at any length measured. Attention of one
 # layer of the benchmark model (4 heads, d_model 64, d_head 16, one BLAS
 # thread, 2-CPU x86 host, best of 30+ runs, three rounds), per-head path vs
-# kernel:
+# kernel (measured on the dedicated tile routine that ``attend`` replaced;
+# its tiles give the same numbers bit for bit from the same arithmetic):
 #   32 tokens: 0.15-0.23 vs 0.07-0.09 ms   (2.2-3.3x)
 #   64 tokens: 0.27-0.39 vs 0.15-0.21 ms   (1.8-1.9x)
 #  128 tokens: 0.87-1.24 vs 0.75-1.04 ms   (1.0-1.2x)
@@ -198,53 +202,24 @@ def project_qkv(
     )
 
 
-def _causal_tile(q, k, v, scale: float, r0: int):
-    """Causal attention for the query rows at positions r0 .. r0+t-1.
-
-    ``q`` is (H, t, d_head); ``k`` and ``v`` hold at least the rows for
-    positions 0 .. r0+t-1, head-stacked, and ``v`` may be None when only the
-    log-sum-exp is wanted. Scores are formed only against those keys, and
-    only the trailing (t, t) diagonal block needs masking: a masked entry is
-    left out of the max, clamped so its exp cannot overflow, and zeroed by
-    the mask multiply. Returns ``(out (H, t, d_value) or None, lse (H, t))``.
-    """
-    t = q.shape[1]
-    r1 = r0 + t
-    scores = np.matmul(q, k[:, :r1].transpose(0, 2, 1))
-    if scale != 1.0:
-        scores *= scale
-    diag = scores[:, :, r0:]
-    tril = np.tri(t, dtype=bool)
-    row_max = diag.max(axis=2, where=tril, initial=-np.inf)
-    if r0 > 0:
-        np.maximum(row_max, scores[:, :, :r0].max(axis=2), out=row_max)
-    scores -= row_max[:, :, None]
-    np.minimum(diag, 0.0, out=diag)
-    np.exp(scores, out=scores)
-    diag *= tril
-    sums = scores.sum(axis=2)
-    lse = row_max + np.log(sums)
-    if v is None:
-        return None, lse
-    out = np.matmul(scores, v[:, :r1])
-    out /= sums[:, :, None]
-    return out, lse
-
-
 def _causal_attention(q, k, v, scale: float):
     """Exact causal attention over head-stacked (H, n, d) arrays.
 
     Query rows go in tiles of ``_PREFILL_TILE`` (the query tiling of
-    FlashAttention, Dao et al. 2022); each tile scores only the keys up to
-    its own end. Returns ``(out (H, n, d_value), lse (H, n))``, the per-row
-    log-sum-exp being the normalizer of every causal row.
+    FlashAttention, Dao et al. 2022); each tile is one ``attend`` call over
+    only the keys up to its own end, which masks just the tile's trailing
+    diagonal block. Returns ``(out (H, n, d_value), lse (H, n))``, the
+    per-row log-sum-exp being the normalizer of every causal row.
     """
     n_heads, n, _ = q.shape
     out = np.empty((n_heads, n, v.shape[2]))
     lse = np.empty((n_heads, n))
+    pos = np.arange(n)
     for r0 in range(0, n, _PREFILL_TILE):
         r1 = min(r0 + _PREFILL_TILE, n)
-        out[:, r0:r1], lse[:, r0:r1] = _causal_tile(q[:, r0:r1], k, v, scale, r0)
+        out[:, r0:r1], lse[:, r0:r1] = attend(
+            q[:, r0:r1], k[:, :r1], scale, pos[r0:r1], pos[:r1], v[:, :r1]
+        )
     return out, lse
 
 

@@ -160,7 +160,8 @@ def discarded_mass(
     x_norm = ln(x_prev, config.ln_mode)
     q, k = (np.matmul(x_norm, w[layer]) for w in (weights.w_q, weights.w_k))
     causal = np.tri(n, dtype=bool)
-    _, expd, sums = _masked_max_and_expsum(q @ k.transpose(0, 2, 1), causal)
+    expd = q @ k.transpose(0, 2, 1)
+    _, sums = _masked_max_and_expsum(expd, causal)
     per_head = (expd * (causal & ~allowed)).sum(axis=-1) / sums
     return float(per_head.mean(axis=0).max())
 

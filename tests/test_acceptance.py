@@ -90,11 +90,12 @@ def test_criterion_01_lse_identity():
 
         m = min(params.w_last, n)
         sets = [list(range(n - m + j + 1)) for j in range(m)]
-        lse = [
+        lse = np.stack([
             masked_row_logsumexp((q[n - m :] @ k.T) * scale, MaskSpec.lazy_set(sets))
             for q, k in zip(qs, ks)
-        ]
-        via_lse = lazy_ratio_lse([q[n - m :] for q in qs], ks, lse, params, scale)
+        ])
+        q_last = np.stack([q[n - m :] for q in qs])
+        via_lse = lazy_ratio_lse(q_last, np.stack(ks), lse, params, scale)
         worst = max(worst, abs(via_lse - brute))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10, f"max |lse - brute| = {worst}"
@@ -197,7 +198,7 @@ def test_criterion_05_peak_memory_invariants():
         cache = LayerCache(1, 2, 2, CachePolicy.streaming(w_sink, w_recent))
         for _ in range(int(rng.integers(1, 15))):
             t = int(rng.integers(1, 6))
-            cache.append([rng.standard_normal((t, 2))], rng.standard_normal((t, 2)))
+            cache.append(rng.standard_normal((1, t, 2)), rng.standard_normal((t, 2)))
             assert cache.size <= w_sink + w_recent
     report(5, "prefill full-cache count <= P+1; streaming rows <= w_sink+w_recent")
 

@@ -22,15 +22,14 @@ from lazykv.model import (
     _PREFILL_TILE,
     ModelConfig,
     _causal_attention,
-    _causal_tile,
     block_forward,
     forward_full,
     ln,
     random_init,
 )
-from lazykv.numerics import MaskSpec, masked_row_softmax
+from lazykv.numerics import MaskSpec, attend, masked_row_softmax
 
-from oracles import lazy_ratio_bruteforce, masked_row_logsumexp
+from oracles import _causal_tile, lazy_ratio_bruteforce, masked_row_logsumexp
 
 
 def make_model(seed, n_layers=2, n_heads=2, d_model=4, d_head=3, vocab=9, **kw):
@@ -125,15 +124,30 @@ class TestCausalKernel:
             assert np.allclose(out[h], expect_out, atol=1e-12, rtol=0)
             assert np.allclose(lse[h], masked_row_logsumexp(scores, causal), atol=1e-12, rtol=0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(causal_kernel_case())
+    def test_bit_identical_to_the_frozen_tile_oracle(self, case):
+        # each tile's attend call does the arithmetic of the dedicated tile
+        # routine it replaced, so prefill keeps its numbers bit for bit
+        q, k, v, scale = case
+        n = q.shape[1]
+        out, lse = _causal_attention(q, k, v, scale)
+        for r0 in range(0, n, _PREFILL_TILE):
+            r1 = min(r0 + _PREFILL_TILE, n)
+            expect_out, expect_lse = _causal_tile(q[:, r0:r1], k, v, scale, r0)
+            assert np.array_equal(out[:, r0:r1], expect_out)
+            assert np.array_equal(lse[:, r0:r1], expect_lse)
+
     @settings(max_examples=20, deadline=None)
     @given(causal_kernel_case(), st.integers(1, 40))
     def test_tail_tile_lse_equals_kernel_rows(self, case, w_last):
-        # the short-prompt detection tail: one tile over only the last m rows
+        # the short-prompt detection call: attend over only the last m rows
         q, k, v, scale = case
         n = q.shape[1]
         m = min(w_last, n)
         _, lse = _causal_attention(q, k, v, scale)
-        out, tail = _causal_tile(q[:, n - m :], k, None, scale, n - m)
+        pos = np.arange(n)
+        out, tail = attend(q[:, n - m :], k, scale, pos[n - m :], pos)
         assert out is None
         assert np.allclose(tail, lse[:, n - m :], atol=1e-12, rtol=0)
 

@@ -12,7 +12,6 @@ from lazykv.kvcache import (
     MemoryMeter,
     attend_from_cache,
     kept_positions_for,
-    memory_stats,
 )
 from lazykv.model import ModelConfig, ln, mha_forward, project_qkv, random_init
 from lazykv.numerics import MaskSpec, masked_row_softmax
@@ -25,7 +24,7 @@ def kept_oracle(total, w_sink, w_recent):
 
 
 def fill_cache(cache, rng, t):
-    ks = [rng.standard_normal((t, cache.d_key)) for _ in range(cache.n_heads)]
+    ks = np.stack([rng.standard_normal((t, cache.d_key)) for _ in range(cache.n_heads)])
     xs = rng.standard_normal((t, cache.d_model))
     cache.append(ks, xs)
     return ks, xs
@@ -59,11 +58,15 @@ class TestAppendAndEvict:
     def test_width_mismatch_rejected(self):
         cache = LayerCache(1, 2, 3, CachePolicy.full())
         with pytest.raises(ContractViolation):
-            cache.append([np.zeros((1, 5))], np.zeros((1, 3)))
+            cache.append(np.zeros((1, 1, 5)), np.zeros((1, 3)))
         with pytest.raises(ContractViolation):
-            cache.append([np.zeros((1, 2))], np.zeros((1, 4)))
+            cache.append(np.zeros((1, 1, 2)), np.zeros((1, 4)))
         with pytest.raises(ContractViolation):  # one input row for two tokens
-            cache.append([np.zeros((2, 2))], np.zeros((1, 3)))
+            cache.append(np.zeros((1, 2, 2)), np.zeros((1, 3)))
+        with pytest.raises(ContractViolation):  # two heads of keys for one
+            cache.append(np.zeros((2, 1, 2)), np.zeros((1, 3)))
+        with pytest.raises(ContractViolation):  # one head's rows, not stacked
+            cache.append(np.zeros((1, 2)), np.zeros((1, 3)))
 
     def test_evicted_rows_are_the_right_ones(self):
         rng = np.random.default_rng(3)
@@ -180,7 +183,7 @@ class TestAttendFromCache:
         cache.append(ks, x_norm)
         kept = kept_oracle(n, w_sink, w_recent)
         n_q = len(kept)
-        out = attend_from_cache(cache, [q[n - n_q:] for q in qs], weights.w_v[0], config)
+        out = attend_from_cache(cache, qs[:, n - n_q:], weights.w_v[0], config)
 
         # brute force: each query row attends over kept positions <= its own
         expect = np.zeros((n_q, config.d_model))
@@ -198,7 +201,7 @@ class TestAttendFromCache:
         config, weights = self.make_model(13)
         cache = LayerCache(config.n_heads, config.d_head, config.d_model, CachePolicy.full())
         with pytest.raises(ContractViolation):
-            attend_from_cache(cache, [np.zeros((1, 3))] * config.n_heads, weights.w_v[0], config)
+            attend_from_cache(cache, np.zeros((config.n_heads, 1, 3)), weights.w_v[0], config)
 
     def test_query_with_no_visible_rows_rejected(self):
         config, weights = self.make_model(14)
@@ -211,7 +214,7 @@ class TestAttendFromCache:
         cache.append(ks, x_norm)
         # earliest query sits at position 4 < first kept position 9
         with pytest.raises(ContractViolation):
-            attend_from_cache(cache, [q[-8:] for q in qs], weights.w_v[0], config)
+            attend_from_cache(cache, qs[:, -8:], weights.w_v[0], config)
 
     def test_value_stack_of_the_wrong_shape_rejected(self):
         config, weights = self.make_model(16)
@@ -226,13 +229,12 @@ class TestMemoryMeter:
     def test_zeros_before_any_append(self):
         meter = MemoryMeter()
         meter.record([0, 0])
-        stats = memory_stats(meter)
-        assert stats["total_rows"] == 0 and stats["peak_total_rows"] == 0
+        assert meter.layer_rows == [0, 0] and meter.peak_total == 0
 
     def test_single_full_layer(self):
         meter = MemoryMeter()
         meter.record([100])
-        assert memory_stats(meter)["peak_total_rows"] == 100
+        assert meter.peak_total == 100
 
     def test_mixed_policies_match_hand_count(self):
         rng = np.random.default_rng(16)
@@ -244,10 +246,8 @@ class TestMemoryMeter:
             fill_cache(stream, rng, 1)
             meter.record([full.size, stream.size])
             assert meter.layer_rows == [t + 1, min(t + 1, 5)]
-        stats = memory_stats(meter)
-        assert stats["total_rows"] == 30 + 5
-        assert stats["peak_total_rows"] == 30 + 5
-        assert stats["peak_rows_per_layer"] == [30, 5]
+        assert sum(meter.layer_rows) == 30 + 5
+        assert meter.peak_total == 30 + 5
 
 
 class TestProperties:
@@ -283,9 +283,9 @@ class TestProperties:
             fill_cache(b, np.random.default_rng(99), n)
             for step_rng in (np.random.default_rng(100),):
                 for _ in range(k):
-                    row_k = [step_rng.standard_normal((1, 2))]
+                    row_k = step_rng.standard_normal((1, 1, 2))
                     row_x = step_rng.standard_normal((1, 2))
-                    a.append([r.copy() for r in row_k], row_x.copy())
+                    a.append(row_k.copy(), row_x.copy())
                     b.append(row_k, row_x)
             assert a.kept_positions.tolist() == b.kept_positions.tolist()
             assert np.array_equal(a.keys(0), b.keys(0))
@@ -333,7 +333,7 @@ def check_against_appended_rows(cache, all_k, all_x, w_v, rng, logit_scaling):
     scale = config.score_scale
     # every query position must see some kept row at or before it
     for n_q in sorted({1, total - int(kept[0])}):
-        qs = [rng.standard_normal((n_q, cache.d_key)) for _ in range(cache.n_heads)]
+        qs = np.stack([rng.standard_normal((n_q, cache.d_key)) for _ in range(cache.n_heads)])
         q_pos = np.arange(total - n_q, total)
         mask = MaskSpec.lazy_set([np.flatnonzero(kept <= p) for p in q_pos])
         expect = sum(
@@ -369,6 +369,6 @@ def test_random_appends_keep_the_window_contents(script):
         if t == 0:
             break
         ks, xs = fill_cache(cache, rng, t)
-        all_k = np.concatenate([all_k, np.stack(ks)], axis=1)
+        all_k = np.concatenate([all_k, ks], axis=1)
         all_x = np.concatenate([all_x, xs])
         check_against_appended_rows(cache, all_k, all_x, w_v, rng, script["logit_scaling"])

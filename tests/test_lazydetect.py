@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from lazykv.errors import ContractViolation
-from lazykv.lazydetect import (
-    DetectParams,
-    IdentifierState,
-    kept_query_positions,
-    lse_log_ratios,
-)
+from lazykv.kvcache import kept_positions_for
+from lazykv.lazydetect import DetectParams, IdentifierState, lse_log_ratios
 from lazykv.numerics import MaskSpec, masked_row_softmax
 
 from oracles import lazy_ratio_bruteforce, lazy_ratio_lse, masked_row_logsumexp
@@ -42,12 +38,13 @@ def double_sum_oracle(weights_hnn, params):
 
 class TestKeptQueryPositions:
     def test_matches_set_arithmetic(self):
+        # a query at position q keeps what a cache keeps after q + 1 tokens
         rng = np.random.default_rng(0)
         for _ in range(50):
             q = int(rng.integers(0, 40))
             w_sink = int(rng.integers(0, 6))
             w_recent = int(rng.integers(1, 9))
-            got = kept_query_positions(q, w_sink, w_recent).tolist()
+            got = kept_positions_for(q + 1, w_sink, w_recent).tolist()
             assert got == kept_oracle(q, w_sink, w_recent)
 
 
@@ -79,7 +76,7 @@ class TestBruteForce:
 
 
 def causal_tail_lse(qs, ks, w_last, scale=1.0):
-    """Full-causal logsumexp rows for the trailing queries, via numerics."""
+    """Full-causal logsumexp rows ``(H, m)`` for the trailing queries."""
     n = ks[0].shape[0]
     m = min(w_last, n)
     out = []
@@ -87,7 +84,7 @@ def causal_tail_lse(qs, ks, w_last, scale=1.0):
         scores = (q[n - m :] @ k.T) * scale
         sets = [list(range(n - m + j + 1)) for j in range(m)]
         out.append(masked_row_logsumexp(scores, MaskSpec.lazy_set(sets)))
-    return out
+    return np.stack(out)
 
 
 def loop_log_ratios(q_last, keys, lse, params, scale=1.0):
@@ -97,7 +94,7 @@ def loop_log_ratios(q_last, keys, lse, params, scale=1.0):
     out = np.empty((len(q_last), m))
     for h in range(len(q_last)):
         for j in range(m):
-            kept = kept_query_positions(n - m + j, params.w_sink, params.w_recent)
+            kept = kept_positions_for(n - m + j + 1, params.w_sink, params.w_recent)
             scores = (q_last[h][j] @ keys[h][kept].T) * scale
             top = scores.max()
             out[h, j] = top + np.log(np.exp(scores - top).sum()) - lse[h][j]
@@ -121,13 +118,11 @@ class TestLseRatio:
             )
             m = min(params.w_last, n)
             lse = causal_tail_lse(qs, ks, params.w_last, scale)
-            q_last = [q[n - m :] for q in qs]
-            got = lse_log_ratios(q_last, ks, lse, params, scale)
+            q_last = np.stack([q[n - m :] for q in qs])
+            got = lse_log_ratios(q_last, np.stack(ks), lse, params, scale)
             expect = loop_log_ratios(q_last, ks, lse, params, scale)
+            assert got.shape == (h, m)
             assert np.allclose(got, expect, atol=1e-12, rtol=0)
-            # head-stacked arrays give the same answer as per-head lists
-            stacked = lse_log_ratios(np.stack(q_last), np.stack(ks), np.stack(lse), params, scale)
-            assert np.array_equal(stacked, got)
 
     def test_kept_equals_full_set_gives_one(self):
         rng = np.random.default_rng(3)
@@ -135,7 +130,7 @@ class TestLseRatio:
         ks = [rng.standard_normal((6, 3))]
         params = DetectParams(w_last=3, w_sink=3, w_recent=6)
         lse = causal_tail_lse(qs, ks, params.w_last)
-        q_last = [q[-3:] for q in qs]
+        q_last, ks = np.stack([q[-3:] for q in qs]), np.stack(ks)
         logs = lse_log_ratios(q_last, ks, lse, params)
         assert np.allclose(np.exp(logs), 1.0, atol=1e-12)
         assert abs(lazy_ratio_lse(q_last, ks, lse, params) - 1.0) <= 1e-12
@@ -146,7 +141,7 @@ class TestLseRatio:
         ks = [np.zeros((8, 2))]
         params = DetectParams(w_last=1, w_sink=1, w_recent=3)
         lse = causal_tail_lse(qs, ks, 1)
-        r = lazy_ratio_lse([q[-1:] for q in qs], ks, lse, params)
+        r = lazy_ratio_lse(np.stack([q[-1:] for q in qs]), np.stack(ks), lse, params)
         assert abs(r - 0.5) <= 1e-12
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
@@ -165,8 +160,8 @@ class TestLseRatio:
             )
             brute = lazy_ratio_bruteforce(causal_attention_weights(qs, ks, scale), params)
             lse = causal_tail_lse(qs, ks, params.w_last, scale)
-            q_last = [q[n - min(params.w_last, n) :] for q in qs]
-            viaLse = lazy_ratio_lse(q_last, ks, lse, params, scale)
+            q_last = np.stack([q[n - min(params.w_last, n) :] for q in qs])
+            viaLse = lazy_ratio_lse(q_last, np.stack(ks), lse, params, scale)
             assert abs(viaLse - brute) <= 1e-10
 
     def test_log_ratios_are_nonpositive(self):
@@ -175,16 +170,17 @@ class TestLseRatio:
         ks = [rng.standard_normal((16, 3)) * 3 for _ in range(2)]
         params = DetectParams(w_last=5, w_sink=1, w_recent=4)
         lse = causal_tail_lse(qs, ks, 5)
-        logs = lse_log_ratios([q[-5:] for q in qs], ks, lse, params)
+        logs = lse_log_ratios(np.stack([q[-5:] for q in qs]), np.stack(ks), lse, params)
         ratios = np.exp(logs)
         assert ((ratios > 0) & (ratios <= 1.0 + 1e-12)).all()
 
     def test_head_count_mismatch_rejected(self):
+        # one head of queries against two of keys would broadcast in matmul
+        params = DetectParams(w_last=1, w_sink=1, w_recent=2)
         with pytest.raises(ContractViolation):
-            lse_log_ratios(
-                [np.zeros((1, 2))], [np.zeros((4, 2))] * 2, [np.zeros(1)],
-                DetectParams(w_last=1, w_sink=1, w_recent=2),
-            )
+            lse_log_ratios(np.zeros((1, 1, 2)), np.zeros((2, 4, 2)), np.zeros((1, 1)), params)
+        with pytest.raises(ContractViolation):  # lse for two heads, queries for one
+            lse_log_ratios(np.zeros((1, 1, 2)), np.zeros((1, 4, 2)), np.zeros((2, 1)), params)
 
 
 class TestIdentifierQueue:
@@ -236,7 +232,8 @@ class TestIdentifierQueue:
             state = IdentifierState(capacity=P, n_layers=L)
             for i in range(L):
                 state.push(i, float(ratios[i]))
-                assert state.queued_count <= P or (P == 0 and state.queued_count <= 1)
+                # after k pushes at most P layers still await a verdict
+                assert i + 1 - len(state.lazy_layers) <= P
             full, lazy = state.finalize()
             oracle_full = sorted(sorted(range(L), key=lambda i: (ratios[i], i))[:P])
             assert full == oracle_full

@@ -1,4 +1,4 @@
-"""Oracle tests for the dense linear-algebra and masked softmax kernels."""
+"""Oracle tests for the masked softmax primitives and the attention kernel."""
 
 import numpy as np
 import pytest
@@ -8,22 +8,13 @@ from hypothesis import strategies as st
 from lazykv.errors import ContractViolation
 from lazykv.numerics import (
     MaskSpec,
+    attend,
     frobenius_norm,
     masked_row_softmax,
-    matmul,
     row_2inf_norm,
 )
 
 from oracles import masked_row_logsumexp
-
-
-def triple_loop_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
 
 
 def explicit_masked_softmax(scores, allowed_sets):
@@ -33,27 +24,6 @@ def explicit_masked_softmax(scores, allowed_sets):
         e = np.exp(scores[i, allowed])
         out[i, allowed] = e / e.sum()
     return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((3, 5))
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_checked_2x2(self):
-        out = matmul([[1, 2], [3, 4]], [[0], [1]])
-        assert np.array_equal(out, [[2], [4]])
-
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        assert np.allclose(matmul(a, b), triple_loop_matmul(a, b), atol=1e-12, rtol=0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolation):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestMaskedRowSoftmax:
@@ -246,5 +216,107 @@ def test_operations_are_pure():
     assert np.array_equal(
         masked_row_logsumexp(scores, mask), masked_row_logsumexp(scores.copy(), mask)
     )
-    a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
-    assert np.array_equal(matmul(a, b), matmul(a.copy(), b.copy()))
+    # the exp runs in place on a copy; the caller's scores are left alone
+    before = scores.copy()
+    masked_row_softmax(scores, mask)
+    masked_row_logsumexp(scores, mask)
+    assert np.array_equal(scores, before)
+    q, k, v = (rng.standard_normal((2, 5, 3)) for _ in range(3))
+    pos = np.arange(5)
+    first = attend(q, k, 0.5, pos, pos, v)
+    again = attend(q.copy(), k.copy(), 0.5, pos.copy(), pos.copy(), v.copy())
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+@st.composite
+def attend_case(draw):
+    """Queries at chosen positions over held keys in shuffled or ring order.
+
+    Every query position is held, so each query sees at least itself.
+    """
+    total = draw(st.integers(1, 40))
+    n_q = draw(st.sampled_from([1, draw(st.integers(1, total))]))
+    q_pos = np.arange(total - n_q, total)
+    if draw(st.booleans()):  # a random earlier subset, then a shuffle
+        older = draw(st.sets(st.integers(0, max(total - n_q - 1, 0)), max_size=30))
+        k_pos = np.array(sorted(older.union(q_pos.tolist())), dtype=np.int64)
+        k_pos = k_pos[np.random.default_rng(draw(st.integers(0, 2**16))).permutation(k_pos.size)]
+    else:  # a streaming cache's slots: sinks in place, the recent window a ring
+        w_sink, w_recent = draw(st.integers(0, 4)), draw(st.integers(n_q, n_q + 8))
+        k_pos = np.arange(total)
+        k_pos = k_pos[(k_pos < w_sink) | (k_pos >= total - w_recent)]
+        slot = np.where(k_pos < w_sink, k_pos, w_sink + (k_pos - w_sink) % w_recent)
+        k_pos = k_pos[np.argsort(slot)]
+    if n_q == 1 and draw(st.booleans()):
+        q_pos = None  # the newest query: every key visible, no positions given
+    keep = None
+    if q_pos is not None and draw(st.booleans()):
+        keep = (draw(st.integers(0, 4)), draw(st.integers(1, 10)))
+    h, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    v_kind = draw(st.sampled_from(["none", "shared", "stacked"]))
+    scale = draw(st.sampled_from([1.0, 0.5, 1.7]))
+    spread = draw(st.sampled_from([0.1, 1.0, 4.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.standard_normal((h, n_q, d)) * spread
+    k = rng.standard_normal((h, k_pos.size, d)) * spread
+    v = {
+        "none": None,
+        "shared": rng.standard_normal((k_pos.size, draw(st.integers(1, 5)))),
+        "stacked": rng.standard_normal((h, k_pos.size, draw(st.integers(1, 5)))),
+    }[v_kind]
+    return q, k, scale, q_pos, k_pos, v, keep
+
+
+class TestAttend:
+    @settings(max_examples=300, deadline=None)
+    @given(attend_case())
+    def test_matches_mask_spec_oracles(self, case):
+        q, k, scale, q_pos, k_pos, v, keep = case
+        out, lse = attend(q, k, scale, q_pos, k_pos, v, keep)
+        sets = []
+        for i in range(q.shape[1]):
+            seen = np.ones(k_pos.size, dtype=bool)
+            if q_pos is not None:
+                seen = k_pos <= q_pos[i]
+            if keep is not None:
+                seen &= (k_pos < keep[0]) | (k_pos > q_pos[i] - keep[1])
+            sets.append(np.flatnonzero(seen))
+        mask = MaskSpec.lazy_set(sets)
+        assert out is None if v is None else out.shape[:2] == q.shape[:2]
+        for h in range(q.shape[0]):
+            scores = (q[h] @ k[h].T) * scale
+            assert np.allclose(lse[h], masked_row_logsumexp(scores, mask), atol=1e-12, rtol=0)
+            if v is not None:
+                expect = masked_row_softmax(scores, mask) @ (v if v.ndim == 2 else v[h])
+                assert np.allclose(out[h], expect, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize(
+        "q_pos, k_pos, keep",
+        [
+            ([2], [5, 7], None),  # every key is newer than the query
+            ([4, 9], [5, 7], None),  # the first query sees neither key
+            ([10], [3, 4], (1, 2)),  # older keys outside the window, no sinks
+        ],
+    )
+    def test_query_that_sees_no_key_rejected(self, q_pos, k_pos, keep):
+        q_pos, k_pos = np.array(q_pos), np.array(k_pos)
+        q, k = np.zeros((2, q_pos.size, 3)), np.zeros((2, k_pos.size, 3))
+        with pytest.raises(ContractViolation, match="no allowed positions"):
+            attend(q, k, 1.0, q_pos, k_pos, keep=keep)
+
+    def test_shape_mismatches_rejected(self):
+        q, k = np.zeros((2, 1, 3)), np.zeros((2, 4, 3))
+        pos = np.arange(4)
+        for args in [
+            (q[:1], k, 1.0),  # head counts differ: would broadcast in matmul
+            (q, k[..., :2], 1.0),  # key width differs
+            (q, k[:, :0], 1.0),  # no keys at all
+            (q, k, 1.0, pos[3:], pos[:3]),  # key positions miscounted
+        ]:
+            with pytest.raises(ContractViolation):
+                attend(*args)
+        for v in (np.zeros((3, 5)), np.zeros((1, 4, 5))):
+            with pytest.raises(ContractViolation):
+                attend(q, k, 1.0, v=v)
+        with pytest.raises(ContractViolation):  # a window needs query positions
+            attend(q, k, 1.0, keep=(1, 2))
