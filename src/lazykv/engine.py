@@ -26,9 +26,9 @@ its normalized input row under its policy and attends over whatever the
 cache retained. The cache holds no per-head values: ``attend_from_cache``
 weights the held input rows and applies the layer's W_V after the sum, so
 a held row costs ``(n_heads * d_head + d_model) * 8`` bytes. A session with
-``mass_probe`` set also makes two ``attend`` calls per layer without values,
-over all held rows and over the probe's window, and records the kept mass
-``exp(lse_keep - lse)``.
+``mass_probe`` set also makes one ``attend`` call per layer without values,
+over the probe's window, and records the kept mass ``exp(lse_keep - lse)``,
+``lse`` being the one ``attend_from_cache`` returns for all held rows.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .model import (
     mha_from_projections,
     project_qkv,
 )
-from .numerics import MaskSpec, attend
+from .numerics import attend
 
 __all__ = [
     "PolicyFile",
@@ -254,7 +254,7 @@ class Session:
                 heads, lse = _causal_attention(q, k, v, scale)
                 attn = heads.sum(axis=0)
             else:
-                attn = mha_from_projections(q, k, v, MaskSpec.causal(), scale)
+                attn = mha_from_projections(q, k, v, scale)
             self.caches[layer].append(k, x_norm)
             self._observe()
             if online:
@@ -326,10 +326,9 @@ class Session:
             q, k = project_qkv(x_norm, self.weights, layer)
             cache = self.caches[layer]
             cache.append(k, x_norm)
-            attn = attend_from_cache(cache, q, self.weights.w_v[layer], cfg)
+            attn, lse = attend_from_cache(cache, q, self.weights.w_v[layer], cfg)
             if probe_masses is not None:
                 keys, _, held = cache.held()
-                _, lse = attend(q, keys, cfg.score_scale)
                 newest = np.array([cache.total_seen - 1])
                 _, kept = attend(q, keys, cfg.score_scale, newest, held, keep=self.mass_probe)
                 probe_masses[layer] = float(np.exp(kept - lse).mean())
@@ -502,7 +501,6 @@ def identification_overhead(
     detect: DetectParams,
     repeats: int = 3,
     warmup: int = 1,
-    reduce: str = "median",
     min_span_seconds: float = 0.5,
 ) -> dict:
     """Prefill wall-clock with online detection vs. without, per length.
@@ -514,16 +512,10 @@ def identification_overhead(
     pair: on the criterion-8 model at 1024 tokens, detection measured +4%
     when it ran first and -7% when it ran second. Short prefills run
     enough blocks to span at least ``min_span_seconds`` per variant and
-    repeat. Sessions are built outside the timed spans.
-    ``reduce`` picks the noise model: "median" takes the median of
-    per-block ratios (a block executes back to back and shares machine
-    conditions, so polluted blocks drop out), while "min" divides the
-    per-side minima (machine noise only ever adds time, so each side's
-    floor is its unpolluted cost).
+    repeat. Sessions are built outside the timed spans. The ratio is the
+    median of the per-block ratios: a block executes back to back and
+    shares machine conditions, so polluted blocks drop out.
     """
-    if reduce not in ("median", "min"):
-        raise InputError(f"reduce must be 'median' or 'min', got {reduce!r}")
-    summarize = np.median if reduce == "median" else np.min
     variants = (baseline_params(detect), EngineParams(detect=detect))
     results = {}
     for length in sorted(prompts):
@@ -546,14 +538,11 @@ def identification_overhead(
                 s.prefill(tokens)
                 times[v].append(time.perf_counter() - t0)
         without, with_det = np.asarray(times[0]), np.asarray(times[1])
-        if reduce == "median":
-            blocks = with_det.reshape(-1, 2).sum(axis=1) / without.reshape(-1, 2).sum(axis=1)
-            ratio = float(np.median(blocks))
-        else:
-            ratio = float(np.min(with_det) / np.min(without))
+        blocks = with_det.reshape(-1, 2).sum(axis=1) / without.reshape(-1, 2).sum(axis=1)
+        ratio = float(np.median(blocks))
         results[length] = {
-            "prefill_s_with_detection": float(summarize(with_det)),
-            "prefill_s_without_detection": float(summarize(without)),
+            "prefill_s_with_detection": float(np.median(with_det)),
+            "prefill_s_without_detection": float(np.median(without)),
             "pairs": len(without),
             "ratio": ratio,
             "relative_slowdown": ratio - 1.0,

@@ -232,7 +232,9 @@ class MemoryMeter:
             self.peak_total = total
 
 
-def attend_from_cache(cache: LayerCache, queries, w_v, config: ModelConfig) -> np.ndarray:
+def attend_from_cache(
+    cache: LayerCache, queries, w_v, config: ModelConfig
+) -> Tuple[np.ndarray, np.ndarray]:
     """Attention of the most recent query rows over the cache's kept rows.
 
     ``queries`` is head-stacked ``(H, n_q, d_key)``. ``w_v`` is the layer's
@@ -243,7 +245,9 @@ def attend_from_cache(cache: LayerCache, queries, w_v, config: ModelConfig) -> n
     storage order and weights the shared input rows; the newest position
     alone sees every kept row, so a one-row query passes no positions and
     does no mask work. The weighted sums of all heads then go through W_V
-    as one ``(n_q, H * d_model) @ (H * d_model, d_value)`` product.
+    as one ``(n_q, H * d_model) @ (H * d_model, d_value)`` product. Returns
+    ``(out (n_q, d_value), lse (H, n_q))``, ``lse`` being the log-sum-exp of
+    each row's visible scores.
     """
     if cache.size == 0:
         raise ContractViolation("cannot attend from an empty cache")
@@ -264,6 +268,6 @@ def attend_from_cache(cache: LayerCache, queries, w_v, config: ModelConfig) -> n
     q_pos = None
     if n_q > 1:
         q_pos = np.arange(cache.total_seen - n_q, cache.total_seen, dtype=np.int64)
-    out, _ = attend(queries, keys, config.score_scale, q_pos, held, inputs)
+    out, lse = attend(queries, keys, config.score_scale, q_pos, held, inputs)
     w_v = w_v.reshape(cache.n_heads * cache.d_model, -1)
-    return out.transpose(1, 0, 2).reshape(n_q, -1) @ w_v
+    return out.transpose(1, 0, 2).reshape(n_q, -1) @ w_v, lse

@@ -6,7 +6,9 @@ model width and head outputs are summed. Queries, keys and values are
 head-stacked ``(H, n, d)`` arrays. ``project_qkv`` gives only queries and
 keys: decode caches a layer's normalized input rows instead of per-head
 values (see ``kvcache``), so values are formed, as ``x_norm @ W_V``, only
-where full-sequence attention needs them. A causal mask over more than
+where full-sequence attention needs them. Attention is causal, or, where a
+caller passes ``keep=(w_sink, w_recent)``, the StreamingLLM window of
+``numerics.visible``; no other mask exists. Causal attention over more than
 ``_PREFILL_BLOCK`` rows runs on ``_causal_attention``, one ``numerics.attend``
 call per query tile, which also gives every row's log-sum-exp; the engine's
 prefill calls that same kernel, so its logits equal ``forward_full``'s bit
@@ -42,7 +44,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ContractViolation, InputError
-from .numerics import MaskSpec, attend, masked_row_softmax
+from .numerics import attend, masked_row_softmax, visible
 
 __all__ = [
     "ACTIVATIONS",
@@ -165,12 +167,12 @@ def ln(x: np.ndarray, mode: str) -> np.ndarray:
     return out[0] if single else out
 
 
-# Query rows above which a causal mask runs on ``_causal_attention`` below,
-# one ``numerics.attend`` call per tile. It is not 0, for two reasons:
-# 1. At or below it, causal and explicit ``lazy_set`` masks share one
-#    per-head path, so a causal mask and the prefix sets it stands for give
-#    bit-identical output at the sizes the theory checks use (at most 24
-#    tokens), and the vacuous-mask run of the bound checker has zero error.
+# Query rows above which causal attention runs on ``_causal_attention``
+# below, one ``numerics.attend`` call per tile. It is not 0, for two reasons:
+# 1. At or below it, causal and streaming-window masks share one per-head
+#    path, so a window that keeps every position gives output bit-identical
+#    to causal at the sizes the theory checks use (at most 24 tokens), and
+#    the vacuous-window run of the bound checker has zero error.
 # 2. The benchmark's smoke tests (``perfbench/test_perfbench.py``) pin
 #    prompts of up to 64 tokens to one ``mha_from_projections`` call per
 #    layer and H per-head ``masked_row_softmax`` calls. Lifting that needs a
@@ -224,59 +226,44 @@ def _causal_attention(q, k, v, scale: float):
 
 
 def mha_from_projections(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: MaskSpec,
-    scale: float,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, keep=None
 ) -> np.ndarray:
-    """Sum over heads of masked-softmax attention, from head-stacked q/k/v.
+    """Sum over heads of self-attention, from head-stacked q/k/v.
 
-    A causal mask over more than ``_PREFILL_BLOCK`` rows runs on the tiled
-    kernel, exactly as ``Session.prefill`` does; every other mask runs head
-    by head through ``masked_row_softmax``.
+    Causal by default; ``keep=(w_sink, w_recent)`` narrows every row to the
+    streaming window (``numerics.visible``). Causal attention over more than
+    ``_PREFILL_BLOCK`` rows runs on the tiled kernel, exactly as
+    ``Session.prefill`` does; everything else runs head by head through
+    ``masked_row_softmax``, on one mask built for all heads.
     """
-    if mask.kind == "causal" and q.shape[1] > _PREFILL_BLOCK:
+    n = q.shape[1]
+    if keep is None and n > _PREFILL_BLOCK:
         return _causal_attention(q, k, v, scale)[0].sum(axis=0)
+    pos = np.arange(n)
+    allowed = visible(pos, pos, keep)
     out = None
     for q_h, k_h, v_h in zip(q, k, v):
         scores = q_h @ k_h.T
         if scale != 1.0:
             scores = scores * scale
-        head = masked_row_softmax(scores, mask) @ v_h
+        head = masked_row_softmax(scores, allowed) @ v_h
         out = head if out is None else out + head
     return out
 
 
-def _check_self_attention_mask(mask: MaskSpec, n: int) -> None:
-    if mask.kind != "lazy_set":
-        return
-    if mask.allowed is None or len(mask.allowed) != n:
-        raise ContractViolation("lazy_set mask row count must match input rows")
-    for i, idx in enumerate(mask.allowed):
-        if idx.size and idx.max() > i:
-            raise ContractViolation(
-                f"row {i} allowed set reaches position {int(idx.max())} > {i}"
-            )
-
-
 def mha_forward(
-    x_normed: np.ndarray,
-    weights: Weights,
-    layer: int,
-    mask: MaskSpec,
-    config: ModelConfig,
+    x_normed: np.ndarray, weights: Weights, layer: int, config: ModelConfig, keep=None
 ) -> np.ndarray:
-    """Multi-head self-attention over normalized input rows."""
+    """Multi-head self-attention over normalized input rows; causal, or the
+    streaming window ``keep=(w_sink, w_recent)``."""
     x_normed = np.asarray(x_normed, dtype=np.float64)
     if x_normed.ndim != 2 or x_normed.shape[1] != config.d_model:
         raise ContractViolation(
             f"expected (N, {config.d_model}) input, got {x_normed.shape}"
         )
-    _check_self_attention_mask(mask, x_normed.shape[0])
     q, k = project_qkv(x_normed, weights, layer)
     v = np.matmul(x_normed, weights.w_v[layer])
-    return mha_from_projections(q, k, v, mask, config.score_scale)
+    return mha_from_projections(q, k, v, config.score_scale, keep)
 
 
 def ffn_forward(y_normed: np.ndarray, weights: Weights, layer: int, config: ModelConfig) -> np.ndarray:
@@ -285,14 +272,11 @@ def ffn_forward(y_normed: np.ndarray, weights: Weights, layer: int, config: Mode
 
 
 def block_forward(
-    x_prev: np.ndarray,
-    layer: int,
-    weights: Weights,
-    mask: MaskSpec,
-    config: ModelConfig,
+    x_prev: np.ndarray, layer: int, weights: Weights, config: ModelConfig, keep=None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One residual block: returns (post-attention rows, block output)."""
-    y = x_prev + mha_forward(ln(x_prev, config.ln_mode), weights, layer, mask, config)
+    """One residual block, attention as in ``mha_forward``: returns
+    (post-attention rows, block output)."""
+    y = x_prev + mha_forward(ln(x_prev, config.ln_mode), weights, layer, config, keep)
     x_new = y + ffn_forward(ln(y, config.ln_mode), weights, layer, config)
     return y, x_new
 
@@ -309,9 +293,8 @@ def forward_full(tokens, weights: Weights, config: ModelConfig) -> HiddenTrace:
         )
     x = weights.embedding[tokens]
     xs = [x]
-    causal = MaskSpec.causal()
     for layer in range(config.n_layers):
-        x = block_forward(x, layer, weights, causal, config)[1]
+        x = block_forward(x, layer, weights, config)[1]
         xs.append(x)
     return HiddenTrace(xs=xs, logits=x @ weights.unembed)
 

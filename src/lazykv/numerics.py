@@ -6,27 +6,25 @@ give bit-identical outputs. Masked positions are never fed through
 arithmetic as ``-inf``; they are excluded from the max-subtraction pass and
 produced as exact zeros, so no NaNs can leak out of a softmax.
 
+* ``visible`` is the program's one mask: a predicate on positions (key j
+  is seen by query i iff ``k_pos[j] <= q_pos[i]``, optionally narrowed to
+  the sink-plus-recent window of StreamingLLM, Xiao et al. 2023).
 * ``attend`` is the one attention kernel: head-stacked queries over
-  head-stacked keys, with visibility a predicate on positions (key j is
-  seen by query i iff ``k_pos[j] <= q_pos[i]``, optionally narrowed to the
-  sink-plus-recent window of StreamingLLM). Prefill tiles, detection, decode
-  and the decode mass probe all call it.
-* ``masked_row_softmax`` takes an explicit ``MaskSpec`` instead; the bound
-  checker and the short-prompt per-head path use it.
+  head-stacked keys, masked by ``visible``. Prefill tiles, detection,
+  decode and the decode mass probe all call it.
+* ``masked_row_softmax`` takes one ``visible`` matrix per score matrix; the
+  short-prompt and bound-checker per-head path uses it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation
 
 __all__ = [
-    "MaskSpec",
     "attend",
+    "visible",
     "masked_row_softmax",
     "frobenius_norm",
     "row_2inf_norm",
@@ -40,59 +38,16 @@ def _as_matrix(x, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(m)
 
 
-@dataclass(frozen=True)
-class MaskSpec:
-    """Which key positions each score row may attend to.
-
-    Two kinds:
-      * ``causal``: row i sees columns 0..i (square score matrices only).
-      * ``lazy_set``: an explicit allowed-index set per row. Sets must be
-        non-empty and in column range. When such a mask stands in for causal
-        self-attention, the builder is responsible for keeping each row's set
-        inside 0..i; the kernels here only require valid column indices.
-    """
-
-    kind: str  # "causal" | "lazy_set"
-    allowed: Optional[tuple] = None  # per-row index arrays for lazy_set
-
-    @classmethod
-    def causal(cls) -> "MaskSpec":
-        return cls(kind="causal")
-
-    @classmethod
-    def lazy_set(cls, allowed_sets: Sequence[Sequence[int]]) -> "MaskSpec":
-        # Built from a list: tuple() of a generator resizes its result, and the
-        # freed tuples then pile up (2000 per length) in CPython's free list.
-        rows = tuple([np.unique(np.asarray(s, dtype=np.int64)) for s in allowed_sets])
-        return cls(kind="lazy_set", allowed=rows)
-
-    def bool_matrix(self, n_rows: int, n_cols: int) -> np.ndarray:
-        """Materialize the mask as a boolean allowed matrix."""
-        if self.kind == "causal":
-            if n_rows != n_cols:
-                raise ContractViolation(
-                    f"causal mask needs square scores, got {n_rows}x{n_cols}"
-                )
-            return np.tril(np.ones((n_rows, n_cols), dtype=bool))
-        if self.kind == "lazy_set":
-            if self.allowed is None or len(self.allowed) != n_rows:
-                raise ContractViolation(
-                    "lazy_set mask must provide one allowed set per score row"
-                )
-            sizes = np.fromiter(map(len, self.allowed), np.int64, count=n_rows)
-            rows = np.repeat(np.arange(n_rows), sizes)
-            cols = np.concatenate((np.empty(0, np.int64),) + self.allowed)
-            bad = np.r_[np.flatnonzero(sizes == 0), rows[(cols < 0) | (cols >= n_cols)]]
-            if bad.size:
-                i = int(bad.min())
-                raise ContractViolation(
-                    f"row {i} has an empty allowed set" if sizes[i] == 0
-                    else f"row {i} allowed indices out of range for {n_cols} columns"
-                )
-            out = np.zeros((n_rows, n_cols), dtype=bool)
-            out[rows, cols] = True
-            return out
-        raise ContractViolation(f"unknown mask kind {self.kind!r}")
+def visible(q_pos, k_pos, keep=None) -> np.ndarray:
+    """Boolean ``(n_q, n_k)`` mask: key j is visible to query i iff
+    ``k_pos[j] <= q_pos[i]``. ``keep=(w_sink, w_recent)`` narrows that to
+    the StreamingLLM window, the sinks (``k_pos < w_sink``) plus the
+    ``w_recent`` positions ending at the query."""
+    q_col = q_pos[:, None]
+    allowed = k_pos <= q_col
+    if keep is not None:
+        allowed &= (k_pos < keep[0]) | (k_pos > q_col - keep[1])
+    return allowed
 
 
 def _masked_max_and_expsum(scores: np.ndarray, allowed=None, lead: int = 0):
@@ -131,13 +86,11 @@ def attend(q, k, scale: float, q_pos=None, k_pos=None, v=None, keep=None):
     """Softmax attention of head-stacked queries ``(H, n_q, d)`` over keys
     ``(H, n_k, d)``, scores multiplied by ``scale``.
 
-    Query i sees key j iff ``k_pos[j] <= q_pos[i]``; ``q_pos=None`` means
-    every key is visible. ``keep=(w_sink, w_recent)`` narrows that to the
-    sinks (``k_pos < w_sink``) plus the ``w_recent`` positions ending at the
-    query. Keys may come in any order, ring storage order included. Only the
-    columns after the leading run of keys older than every query are masked,
-    so on a causal prefill tile just its diagonal block is; with ``keep``
-    every column is.
+    Query i sees key j iff ``visible(q_pos, k_pos, keep)`` holds there;
+    ``q_pos=None`` means every key is visible. Keys may come in any order,
+    ring storage order included. Only the columns after the leading run of
+    keys older than every query are masked, so on a causal prefill tile just
+    its diagonal block is; with ``keep`` every column is.
 
     ``v`` is ``(H, n_k, d_v)``, or one ``(n_k, d_model)`` block of rows that
     all heads share, weighted as one ``(H * n_q, n_k)`` GEMM. Returns ``(out
@@ -170,10 +123,7 @@ def attend(q, k, scale: float, q_pos=None, k_pos=None, v=None, keep=None):
         if keep is None:
             older = k_pos < q_pos.min()
             lead = n_k if older.all() else int(older.argmin())
-        tail, q_col = k_pos[lead:], q_pos[:, None]
-        allowed = tail <= q_col
-        if keep is not None:
-            allowed &= (tail < keep[0]) | (tail > q_col - keep[1])
+        allowed = visible(q_pos, k_pos[lead:], keep)
         row_max, sums = _masked_max_and_expsum(scores, allowed, lead)
     lse = row_max + np.log(sums)
     if v is None:
@@ -186,14 +136,20 @@ def attend(q, k, scale: float, q_pos=None, k_pos=None, v=None, keep=None):
     return out, lse
 
 
-def masked_row_softmax(scores, mask: MaskSpec) -> np.ndarray:
-    """Row-wise softmax restricted to the mask's allowed positions.
+def masked_row_softmax(scores, allowed: np.ndarray) -> np.ndarray:
+    """Row-wise softmax restricted to the ``True`` entries of the boolean
+    ``allowed`` matrix, which has the shape of ``scores``.
 
-    Each row sums to 1 over its allowed set; disallowed positions are exact
-    zeros. Stabilized by subtracting the per-row max over allowed entries.
+    Each row sums to 1 over its allowed entries; disallowed positions are
+    exact zeros. Stabilized by subtracting the per-row max over allowed
+    entries.
     """
     expd = _as_matrix(scores, "scores").copy()
-    _, sums = _masked_max_and_expsum(expd, mask.bool_matrix(*expd.shape))
+    if allowed.shape != expd.shape:
+        raise ContractViolation(
+            f"mask of shape {allowed.shape} does not match scores {expd.shape}"
+        )
+    _, sums = _masked_max_and_expsum(expd, allowed)
     return expd / sums[:, None]
 
 

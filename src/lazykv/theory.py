@@ -1,15 +1,18 @@
 """Numerical checks of the cache-reduction error bounds.
 
-Runs two complete masked forward passes (no cache machinery): the original
-network under the causal mask, and a modified one whose designated layers
-attend only to a per-row allowed set. From the pair it measures the
-hidden-state error at every layer, the discarded attention mass at each
-modified layer, and the final logit error, then verifies that the proved
-recursive and logit bounds hold with nonnegative margin.
+Runs two complete forward passes (no cache machinery): the original network
+under the causal mask, and a modified one whose designated layers attend
+only to the StreamingLLM window ``keep=(w_sink, w_recent)``, the sinks plus
+the recent positions ending at each row (``numerics.visible``). From the
+pair it measures the hidden-state error at every layer, the discarded
+attention mass at each modified layer, and the final logit error, then
+verifies that the proved recursive and logit bounds hold with nonnegative
+margin.
 
 A layer's discarded mass is one masked reduction over an (H, n, n) block of
-all heads' causal softmax. The forward passes stay on the per-head path, so
-causal and explicit ``lazy_set`` masks give bit-identical outputs.
+all heads' causal softmax. At these sizes the forward passes run on the
+per-head path, where causal and window masks share the arithmetic, so a
+window that keeps every position gives exactly zero error.
 
 These inequalities are theorems for the clip-norm, unscaled-score model, so
 any negative margin beyond float tolerance is an implementation bug, not an
@@ -27,12 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ContractViolation, InputError
-from .kvcache import kept_positions_for
 from .model import (
     ModelConfig,
     Weights,
@@ -43,7 +45,7 @@ from .model import (
     param_norm_bound,
     random_init,
 )
-from .numerics import MaskSpec, _masked_max_and_expsum, frobenius_norm, row_2inf_norm
+from .numerics import _masked_max_and_expsum, frobenius_norm, row_2inf_norm, visible
 from .numerics import masked_row_softmax  # noqa: F401  (perfbench/lktrace.py wraps it)
 
 __all__ = [
@@ -55,7 +57,6 @@ __all__ = [
     "check_logit_bound",
     "lemma_oracles",
     "verify_theorem",
-    "streaming_allowed_sets",
 ]
 
 MARGIN_TOL = -1e-9
@@ -135,34 +136,36 @@ class ErrorTrace:
     logit_error: float
 
 
-def streaming_allowed_sets(n: int, w_sink: int, w_recent: int) -> List[np.ndarray]:
-    """Per-row allowed sets of streaming attention over n positions."""
-    return [kept_positions_for(i + 1, w_sink, w_recent) for i in range(n)]
+def _check_window(keep: Tuple[int, int]) -> None:
+    w_sink, w_recent = keep
+    if w_sink < 0 or w_recent < 1:
+        raise InputError(
+            f"window needs w_sink >= 0 and w_recent >= 1, got {w_sink}/{w_recent}"
+        )
 
 
 def discarded_mass(
     x_prev: np.ndarray,
     weights: Weights,
     layer: int,
-    allowed_sets: Sequence[np.ndarray],
+    keep: Tuple[int, int],
     config: ModelConfig,
 ) -> float:
-    """Worst-row head-averaged causal attention mass on disallowed positions.
+    """Worst-row head-averaged causal attention mass outside the window.
 
     Uses the original (full causal) softmax of the given layer input; the
-    discarded set of row i is {0..i} minus that row's allowed set.
+    discarded set of row i is {0..i} minus the sinks and the recent window
+    that ``keep=(w_sink, w_recent)`` gives that row.
     """
     _require_theory_config(config)
-    n = x_prev.shape[0]
-    if len(allowed_sets) != n:
-        raise InputError(f"need {n} allowed sets, got {len(allowed_sets)}")
-    allowed = MaskSpec.lazy_set(allowed_sets).bool_matrix(n, n)
+    _check_window(keep)
+    pos = np.arange(x_prev.shape[0])
     x_norm = ln(x_prev, config.ln_mode)
     q, k = (np.matmul(x_norm, w[layer]) for w in (weights.w_q, weights.w_k))
-    causal = np.tri(n, dtype=bool)
+    causal = visible(pos, pos)
     expd = q @ k.transpose(0, 2, 1)
     _, sums = _masked_max_and_expsum(expd, causal)
-    per_head = (expd * (causal & ~allowed)).sum(axis=-1) / sums
+    per_head = (expd * (causal & ~visible(pos, pos, keep))).sum(axis=-1) / sums
     return float(per_head.mean(axis=0).max())
 
 
@@ -171,31 +174,26 @@ def run_pair(
     config: ModelConfig,
     tokens,
     lazy_layers: Sequence[int],
-    allowed_sets: Sequence[np.ndarray],
+    keep: Tuple[int, int],
 ) -> ErrorTrace:
-    """Forward the original and reduced networks; measure their divergence."""
+    """Forward the original network and the one whose ``lazy_layers`` attend
+    only to the window ``keep=(w_sink, w_recent)``; measure their divergence."""
     _require_theory_config(config)
+    _check_window(keep)
     lazy = sorted(set(int(i) for i in lazy_layers))
     if lazy and (lazy[0] < 0 or lazy[-1] >= config.n_layers):
         raise InputError(f"lazy layers {lazy} outside 0..{config.n_layers - 1}")
     original = forward_full(tokens, weights, config)
-    n = original.xs[0].shape[0]
-    if len(allowed_sets) != n:
-        raise InputError(f"need {n} allowed sets, got {len(allowed_sets)}")
-    lazy_mask = MaskSpec.lazy_set(allowed_sets)
-    causal = MaskSpec.causal()
 
     x_mod = original.xs[0]
     hidden_errors = [0.0]
     discarded: Dict[int, float] = {}
     for layer in range(config.n_layers):
-        mask = lazy_mask if layer in lazy else causal
-        _, x_mod = block_forward(x_mod, layer, weights, mask, config)
+        window = keep if layer in lazy else None
+        _, x_mod = block_forward(x_mod, layer, weights, config, window)
         hidden_errors.append(row_2inf_norm(original.xs[layer + 1] - x_mod))
         if layer in lazy:
-            discarded[layer] = discarded_mass(
-                original.xs[layer], weights, layer, allowed_sets, config
-            )
+            discarded[layer] = discarded_mass(original.xs[layer], weights, layer, keep, config)
     logits_mod = x_mod @ weights.unembed
     logit_error = row_2inf_norm(original.logits - logits_mod)
 
@@ -289,10 +287,8 @@ def _trial_mha_lipschitz(rng: np.random.Generator) -> float:
     weights = random_init(config, int(rng.integers(0, 2**31)), rng.uniform(0.02, 0.4))
     x = rng.standard_normal((n, d)) * rng.uniform(0.1, 2.0)
     x_alt = x + rng.standard_normal((n, d)) * rng.uniform(0.0, 1.0)
-    causal = MaskSpec.causal()
     lhs = row_2inf_norm(
-        mha_forward(x, weights, 0, causal, config)
-        - mha_forward(x_alt, weights, 0, causal, config)
+        mha_forward(x, weights, 0, config) - mha_forward(x_alt, weights, 0, config)
     )
     b_x = max(row_2inf_norm(x), row_2inf_norm(x_alt))
     b_q = max(frobenius_norm(weights.w_q[0, h]) for h in range(n_heads))
@@ -392,10 +388,9 @@ def verify_theorem(
         lazy = sorted(rng.choice(L, size=n_lazy, replace=False).tolist())
         w_sink = int(rng.integers(0, 3))
         w_recent = int(rng.integers(1, max(2, n // 2)))
-        allowed = streaming_allowed_sets(n, w_sink, w_recent)
 
         constants = TheoremConstants.from_model(weights, config)
-        trace = run_pair(weights, config, tokens, lazy, allowed)
+        trace = run_pair(weights, config, tokens, lazy, (w_sink, w_recent))
         rec_margins = check_recursive_bound(trace, constants, lazy)
         logit_margin = check_logit_bound(trace, constants, lazy)
         worst_rec = min(rec_margins)  # one margin per layer, and L >= 1

@@ -4,12 +4,92 @@ Each one states a quantity from its definition, the slow way, for the
 package's fast paths to be checked against.
 """
 
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
+
 import numpy as np
 
-from lazykv.errors import InputError
+from lazykv.errors import ContractViolation, InputError
 from lazykv.kvcache import kept_positions_for
 from lazykv.lazydetect import DetectParams, lse_log_ratios
-from lazykv.numerics import MaskSpec, _as_matrix, _masked_max_and_expsum
+from lazykv.model import ffn_forward, ln, project_qkv
+from lazykv.numerics import _as_matrix, _masked_max_and_expsum, masked_row_softmax
+
+
+@dataclass(frozen=True)
+class MaskSpec:
+    """Which key positions each score row may attend to.
+
+    Two kinds:
+      * ``causal``: row i sees columns 0..i (square score matrices only).
+      * ``lazy_set``: an explicit allowed-index set per row. Sets must be
+        non-empty and in column range. When such a mask stands in for causal
+        self-attention, the builder is responsible for keeping each row's set
+        inside 0..i; the kernels here only require valid column indices.
+    """
+
+    kind: str  # "causal" | "lazy_set"
+    allowed: Optional[tuple] = None  # per-row index arrays for lazy_set
+
+    @classmethod
+    def causal(cls) -> "MaskSpec":
+        return cls(kind="causal")
+
+    @classmethod
+    def lazy_set(cls, allowed_sets: Sequence[Sequence[int]]) -> "MaskSpec":
+        # Built from a list: tuple() of a generator resizes its result, and the
+        # freed tuples then pile up (2000 per length) in CPython's free list.
+        rows = tuple([np.unique(np.asarray(s, dtype=np.int64)) for s in allowed_sets])
+        return cls(kind="lazy_set", allowed=rows)
+
+    def bool_matrix(self, n_rows: int, n_cols: int) -> np.ndarray:
+        """Materialize the mask as a boolean allowed matrix."""
+        if self.kind == "causal":
+            if n_rows != n_cols:
+                raise ContractViolation(
+                    f"causal mask needs square scores, got {n_rows}x{n_cols}"
+                )
+            return np.tril(np.ones((n_rows, n_cols), dtype=bool))
+        if self.kind == "lazy_set":
+            if self.allowed is None or len(self.allowed) != n_rows:
+                raise ContractViolation(
+                    "lazy_set mask must provide one allowed set per score row"
+                )
+            sizes = np.fromiter(map(len, self.allowed), np.int64, count=n_rows)
+            rows = np.repeat(np.arange(n_rows), sizes)
+            cols = np.concatenate((np.empty(0, np.int64),) + self.allowed)
+            bad = np.r_[np.flatnonzero(sizes == 0), rows[(cols < 0) | (cols >= n_cols)]]
+            if bad.size:
+                i = int(bad.min())
+                raise ContractViolation(
+                    f"row {i} has an empty allowed set" if sizes[i] == 0
+                    else f"row {i} allowed indices out of range for {n_cols} columns"
+                )
+            out = np.zeros((n_rows, n_cols), dtype=bool)
+            out[rows, cols] = True
+            return out
+        raise ContractViolation(f"unknown mask kind {self.kind!r}")
+
+
+def streaming_allowed_sets(n: int, w_sink: int, w_recent: int) -> List[np.ndarray]:
+    """Per-row allowed sets of streaming attention over n positions."""
+    return [kept_positions_for(i + 1, w_sink, w_recent) for i in range(n)]
+
+
+def masked_block_forward(x_prev, layer: int, weights, mask: MaskSpec, config) -> np.ndarray:
+    """One residual block whose attention row i sees only ``mask``'s allowed
+    set, for masks that are no single window (prompt rows causal, decode
+    rows windowed). The per-head arithmetic of ``model.block_forward``.
+    Returns the block output."""
+    x_norm = ln(x_prev, config.ln_mode)
+    q, k = project_qkv(x_norm, weights, layer)
+    v = np.matmul(x_norm, weights.w_v[layer])
+    allowed = mask.bool_matrix(len(x_prev), len(x_prev))
+    attn = 0.0
+    for q_h, k_h, v_h in zip(q, k, v):
+        attn = attn + masked_row_softmax((q_h @ k_h.T) * config.score_scale, allowed) @ v_h
+    y = x_prev + attn
+    return y + ffn_forward(ln(y, config.ln_mode), weights, layer, config)
 
 
 def masked_row_logsumexp(scores, mask: MaskSpec) -> np.ndarray:

@@ -14,7 +14,9 @@ from lazykv.kvcache import (
     kept_positions_for,
 )
 from lazykv.model import ModelConfig, ln, mha_forward, project_qkv, random_init
-from lazykv.numerics import MaskSpec, masked_row_softmax
+from lazykv.numerics import masked_row_softmax
+
+from oracles import MaskSpec, masked_row_logsumexp
 
 
 def kept_oracle(total, w_sink, w_recent):
@@ -155,8 +157,8 @@ class TestAttendFromCache:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((9, config.d_model))
         cache, qs = self.project_and_fill(config, weights, x, CachePolicy.full())
-        out = attend_from_cache(cache, qs, weights.w_v[0], config)
-        expect = mha_forward(ln(x, config.ln_mode), weights, 0, MaskSpec.causal(), config)
+        out, _ = attend_from_cache(cache, qs, weights.w_v[0], config)
+        expect = mha_forward(ln(x, config.ln_mode), weights, 0, config)
         assert np.allclose(out, expect, atol=1e-12, rtol=0)
 
     def test_streaming_without_eviction_equals_full(self):
@@ -166,8 +168,8 @@ class TestAttendFromCache:
         cache, qs = self.project_and_fill(
             config, weights, x, CachePolicy.streaming(4, 8)
         )
-        out = attend_from_cache(cache, qs, weights.w_v[0], config)
-        expect = mha_forward(ln(x, config.ln_mode), weights, 0, MaskSpec.causal(), config)
+        out, _ = attend_from_cache(cache, qs, weights.w_v[0], config)
+        expect = mha_forward(ln(x, config.ln_mode), weights, 0, config)
         assert np.allclose(out, expect, atol=1e-12, rtol=0)
 
     def test_streaming_matches_masked_softmax_oracle(self):
@@ -183,7 +185,7 @@ class TestAttendFromCache:
         cache.append(ks, x_norm)
         kept = kept_oracle(n, w_sink, w_recent)
         n_q = len(kept)
-        out = attend_from_cache(cache, qs[:, n - n_q:], weights.w_v[0], config)
+        out, _ = attend_from_cache(cache, qs[:, n - n_q:], weights.w_v[0], config)
 
         # brute force: each query row attends over kept positions <= its own
         expect = np.zeros((n_q, config.d_model))
@@ -336,14 +338,17 @@ def check_against_appended_rows(cache, all_k, all_x, w_v, rng, logit_scaling):
         qs = np.stack([rng.standard_normal((n_q, cache.d_key)) for _ in range(cache.n_heads)])
         q_pos = np.arange(total - n_q, total)
         mask = MaskSpec.lazy_set([np.flatnonzero(kept <= p) for p in q_pos])
+        allowed = mask.bool_matrix(n_q, kept.size)
+        scores = [(qs[h] @ all_k[h][kept].T) * scale for h in range(cache.n_heads)]
         expect = sum(
-            masked_row_softmax((qs[h] @ all_k[h][kept].T) * scale, mask)
-            @ (all_x[kept] @ w_v[h])
+            masked_row_softmax(scores[h], allowed) @ (all_x[kept] @ w_v[h])
             for h in range(cache.n_heads)
         )
-        got = attend_from_cache(cache, qs, w_v, config)
+        got, lse = attend_from_cache(cache, qs, w_v, config)
         assert got.shape == (n_q, w_v.shape[2])
         assert np.allclose(got, expect, atol=1e-12, rtol=0)
+        expect_lse = [masked_row_logsumexp(scores[h], mask) for h in range(cache.n_heads)]
+        assert np.allclose(lse, expect_lse, atol=1e-12, rtol=0)
 
 
 @settings(max_examples=60, deadline=None)

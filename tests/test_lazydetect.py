@@ -6,9 +6,9 @@ import pytest
 from lazykv.errors import ContractViolation
 from lazykv.kvcache import kept_positions_for
 from lazykv.lazydetect import DetectParams, IdentifierState, lse_log_ratios
-from lazykv.numerics import MaskSpec, masked_row_softmax
+from lazykv.numerics import masked_row_softmax
 
-from oracles import lazy_ratio_bruteforce, lazy_ratio_lse, masked_row_logsumexp
+from oracles import MaskSpec, lazy_ratio_bruteforce, lazy_ratio_lse, masked_row_logsumexp
 
 
 def kept_oracle(q, w_sink, w_recent):
@@ -20,7 +20,7 @@ def causal_attention_weights(qs, ks, scale=1.0):
     out = []
     for q, k in zip(qs, ks):
         scores = (q @ k.T) * scale
-        out.append(masked_row_softmax(scores, MaskSpec.causal()))
+        out.append(masked_row_softmax(scores, np.tri(len(q), dtype=bool)))
     return np.stack(out)
 
 
@@ -61,7 +61,7 @@ class TestBruteForce:
     def test_uniform_single_query(self):
         # equal logits over 8 keys; keep {0} + {5,6,7} -> mass 4/8
         a = np.full((1, 8, 8), 0.0)
-        a[0] = masked_row_softmax(np.zeros((8, 8)), MaskSpec.causal())
+        a[0] = masked_row_softmax(np.zeros((8, 8)), np.tri(8, dtype=bool))
         params = DetectParams(w_last=1, w_sink=1, w_recent=3)
         assert abs(lazy_ratio_bruteforce(a, params) - 0.5) <= 1e-12
 

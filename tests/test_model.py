@@ -24,7 +24,6 @@ from lazykv.model import (
     random_init,
     save_model,
 )
-from lazykv.numerics import MaskSpec
 
 
 def small_config(**kw):
@@ -113,7 +112,7 @@ class TestMha:
         rng = np.random.default_rng(2)
         weights = random_init(config, 3, 0.5)
         x = rng.standard_normal((1, config.d_model))
-        out = mha_forward(x, weights, 0, MaskSpec.causal(), config)
+        out = mha_forward(x, weights, 0, config)
         expect = sum(x @ weights.w_v[0, h] for h in range(config.n_heads))
         assert np.allclose(out, expect, atol=1e-12)
 
@@ -124,7 +123,7 @@ class TestMha:
         weights.w_k[:] = 0.0
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, config.d_model))
-        out = mha_forward(x, weights, 0, MaskSpec.causal(), config)
+        out = mha_forward(x, weights, 0, config)
         v = x @ weights.w_v[0, 0]
         expect = np.array([v[: i + 1].mean(axis=0) for i in range(6)])
         assert np.allclose(out, expect, atol=1e-12)
@@ -135,7 +134,7 @@ class TestMha:
         weights = random_init(config, 6, 0.8)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((5, config.d_model))
-        out = mha_forward(x, weights, 1, MaskSpec.causal(), config)
+        out = mha_forward(x, weights, 1, config)
         assert np.allclose(out, explicit_mha_oracle(x, weights, 1, config), atol=1e-10)
 
     def test_tiled_causal_branch_matches_oracle(self):
@@ -145,17 +144,18 @@ class TestMha:
         weights = random_init(config, 11, 0.8)
         x = np.random.default_rng(11).standard_normal((_PREFILL_TILE + 5, config.d_model))
         assert x.shape[0] > _PREFILL_BLOCK
-        out = mha_forward(x, weights, 1, MaskSpec.causal(), config)
+        out = mha_forward(x, weights, 1, config)
         assert np.allclose(out, explicit_mha_oracle(x, weights, 1, config), atol=1e-10, rtol=0)
 
-    def test_causal_equals_explicit_prefix_sets(self):
+    def test_vacuous_window_equals_causal(self):
+        # a window that keeps every position: recent >= n, or sinks >= n
         config = small_config()
         weights = random_init(config, 7, 0.6)
         rng = np.random.default_rng(7)
         x = rng.standard_normal((5, config.d_model))
-        causal = mha_forward(x, weights, 0, MaskSpec.causal(), config)
-        prefix = MaskSpec.lazy_set([list(range(i + 1)) for i in range(5)])
-        assert np.array_equal(causal, mha_forward(x, weights, 0, prefix, config))
+        causal = mha_forward(x, weights, 0, config)
+        for keep in [(0, 5), (5, 1), (9, 2)]:
+            assert np.array_equal(causal, mha_forward(x, weights, 0, config, keep))
 
 
 class TestBlockAndForward:
@@ -164,7 +164,7 @@ class TestBlockAndForward:
         weights = random_init(config, 0, 0.0)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, config.d_model))
-        y, x_new = block_forward(x, 0, weights, MaskSpec.causal(), config)
+        y, x_new = block_forward(x, 0, weights, config)
         assert np.array_equal(y, x)
         assert np.array_equal(x_new, x)
 
@@ -174,7 +174,7 @@ class TestBlockAndForward:
         weights.w_ff1[0] = np.eye(3)
         weights.w_ff2[0] = np.eye(3)
         x = np.abs(np.random.default_rng(9).standard_normal((4, 3))) + 0.1
-        y, x_new = block_forward(x, 0, weights, MaskSpec.causal(), config)
+        y, x_new = block_forward(x, 0, weights, config)
         # zero attention weights keep y == x; rows positive so relu passes ln(y)
         assert np.array_equal(y, x)
         assert np.allclose(x_new, y + ln(y, "clip"), atol=1e-14)
@@ -184,7 +184,7 @@ class TestBlockAndForward:
         weights = random_init(config, 11, 0.7)
         rng = np.random.default_rng(10)
         x = rng.standard_normal((5, config.d_model))
-        y, x_new = block_forward(x, 1, weights, MaskSpec.causal(), config)
+        y, x_new = block_forward(x, 1, weights, config)
         # independent recomputation
         xn = ln(x, config.ln_mode)
         y_oracle = x + explicit_mha_oracle(xn, weights, 1, config)

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lazykv.errors import ContractViolation
+from lazykv.kvcache import kept_positions_for
 from lazykv.numerics import (
-    MaskSpec,
     attend,
     frobenius_norm,
     masked_row_softmax,
     row_2inf_norm,
+    visible,
 )
 
-from oracles import masked_row_logsumexp
+from oracles import MaskSpec, masked_row_logsumexp, streaming_allowed_sets
 
 
 def explicit_masked_softmax(scores, allowed_sets):
@@ -29,7 +30,7 @@ def explicit_masked_softmax(scores, allowed_sets):
 class TestMaskedRowSoftmax:
     def test_zero_scores_causal_uniform(self):
         n = 5
-        probs = masked_row_softmax(np.zeros((n, n)), MaskSpec.causal())
+        probs = masked_row_softmax(np.zeros((n, n)), np.tri(n, dtype=bool))
         for i in range(n):
             assert np.allclose(probs[i, : i + 1], 1.0 / (i + 1), atol=1e-15)
             assert np.all(probs[i, i + 1 :] == 0.0)
@@ -38,7 +39,7 @@ class TestMaskedRowSoftmax:
         rng = np.random.default_rng(2)
         scores = rng.standard_normal((4, 6))
         mask = MaskSpec.lazy_set([[2], [0], [5], [3]])
-        probs = masked_row_softmax(scores, mask)
+        probs = masked_row_softmax(scores, mask.bool_matrix(4, 6))
         expect = np.zeros((4, 6))
         for i, j in enumerate([2, 0, 5, 3]):
             expect[i, j] = 1.0
@@ -47,7 +48,7 @@ class TestMaskedRowSoftmax:
     def test_matches_explicit_oracle_causal(self):
         rng = np.random.default_rng(3)
         scores = rng.standard_normal((6, 6)) * 3
-        probs = masked_row_softmax(scores, MaskSpec.causal())
+        probs = masked_row_softmax(scores, np.tri(6, dtype=bool))
         oracle = explicit_masked_softmax(scores, [list(range(i + 1)) for i in range(6)])
         assert np.allclose(probs, oracle, atol=1e-12, rtol=0)
 
@@ -58,7 +59,7 @@ class TestMaskedRowSoftmax:
         for i in range(8):
             size = rng.integers(1, i + 2)
             sets.append(sorted(rng.choice(i + 1, size=size, replace=False).tolist()))
-        probs = masked_row_softmax(scores, MaskSpec.lazy_set(sets))
+        probs = masked_row_softmax(scores, MaskSpec.lazy_set(sets).bool_matrix(8, 8))
         assert np.allclose(probs, explicit_masked_softmax(scores, sets), atol=1e-12, rtol=0)
 
     def test_rows_sum_to_one_over_allowed(self):
@@ -66,18 +67,23 @@ class TestMaskedRowSoftmax:
         for _ in range(25):
             n = int(rng.integers(1, 12))
             scores = rng.standard_normal((n, n)) * rng.uniform(0.1, 20)
-            probs = masked_row_softmax(scores, MaskSpec.causal())
+            probs = masked_row_softmax(scores, np.tri(n, dtype=bool))
             assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12, rtol=0)
             assert np.isfinite(probs).all()
 
     def test_empty_allowed_row_raises(self):
         with pytest.raises(ContractViolation):
-            masked_row_softmax(np.zeros((2, 2)), MaskSpec.lazy_set([[0], []]))
+            masked_row_softmax(np.zeros((2, 2)), np.array([[True, False], [False, False]]))
+
+    def test_mask_of_the_wrong_shape_rejected(self):
+        for allowed in (np.tri(3, dtype=bool), np.ones(2, dtype=bool)):
+            with pytest.raises(ContractViolation, match="does not match"):
+                masked_row_softmax(np.zeros((2, 2)), allowed)
 
     def test_extreme_scores_stay_finite(self):
         scores = np.array([[1e4, -1e4, 0.0], [5e3, 5e3, 5e3]])
         mask = MaskSpec.lazy_set([[0, 1, 2], [0, 1, 2]])
-        probs = masked_row_softmax(scores, mask)
+        probs = masked_row_softmax(scores, mask.bool_matrix(2, 3))
         assert np.isfinite(probs).all()
         assert np.allclose(probs.sum(axis=1), 1.0)
 
@@ -176,7 +182,7 @@ class TestMaskedRowLogsumexp:
             subset = sorted(rng.choice(n, size=size, replace=False).tolist())
             lse_full = masked_row_logsumexp(scores, MaskSpec.lazy_set([full]))[0]
             lse_sub = masked_row_logsumexp(scores, MaskSpec.lazy_set([subset]))[0]
-            probs = masked_row_softmax(scores, MaskSpec.lazy_set([full]))
+            probs = masked_row_softmax(scores, MaskSpec.lazy_set([full]).bool_matrix(1, n))
             assert abs(np.exp(lse_sub - lse_full) - probs[0, subset].sum()) <= 1e-10
 
 
@@ -209,16 +215,16 @@ class TestNorms:
 def test_operations_are_pure():
     rng = np.random.default_rng(10)
     scores = rng.standard_normal((6, 6))
-    mask = MaskSpec.causal()
+    mask, allowed = MaskSpec.causal(), np.tri(6, dtype=bool)
     assert np.array_equal(
-        masked_row_softmax(scores, mask), masked_row_softmax(scores.copy(), mask)
+        masked_row_softmax(scores, allowed), masked_row_softmax(scores.copy(), allowed)
     )
     assert np.array_equal(
         masked_row_logsumexp(scores, mask), masked_row_logsumexp(scores.copy(), mask)
     )
     # the exp runs in place on a copy; the caller's scores are left alone
     before = scores.copy()
-    masked_row_softmax(scores, mask)
+    masked_row_softmax(scores, allowed)
     masked_row_logsumexp(scores, mask)
     assert np.array_equal(scores, before)
     q, k, v = (rng.standard_normal((2, 5, 3)) for _ in range(3))
@@ -287,7 +293,8 @@ class TestAttend:
             scores = (q[h] @ k[h].T) * scale
             assert np.allclose(lse[h], masked_row_logsumexp(scores, mask), atol=1e-12, rtol=0)
             if v is not None:
-                expect = masked_row_softmax(scores, mask) @ (v if v.ndim == 2 else v[h])
+                allowed = mask.bool_matrix(*scores.shape)
+                expect = masked_row_softmax(scores, allowed) @ (v if v.ndim == 2 else v[h])
                 assert np.allclose(out[h], expect, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize(
@@ -320,3 +327,29 @@ class TestAttend:
                 attend(q, k, 1.0, v=v)
         with pytest.raises(ContractViolation):  # a window needs query positions
             attend(q, k, 1.0, keep=(1, 2))
+
+
+class TestVisible:
+    """``visible`` is the one statement of the streaming window."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_window_matches_the_cache_and_the_explicit_sets(self, data):
+        n = data.draw(st.integers(1, 30))
+        w_sink = data.draw(st.integers(0, 4))
+        w_recent = data.draw(st.integers(1, n + 2))
+        keep = (w_sink, w_recent)
+        # the newest row holds what a streaming cache keeps after t tokens
+        t = data.draw(st.integers(1, n))
+        newest = visible(np.array([t - 1]), np.arange(t), keep)
+        assert newest.shape == (1, t)
+        assert np.array_equal(np.flatnonzero(newest[0]), kept_positions_for(t, w_sink, w_recent))
+        # the square matrix is the mask of the explicit per-row sets
+        pos = np.arange(n)
+        expect = MaskSpec.lazy_set(streaming_allowed_sets(n, w_sink, w_recent)).bool_matrix(n, n)
+        got = visible(pos, pos, keep)
+        assert got.dtype == bool and np.array_equal(got, expect)
+
+    def test_no_window_is_causal(self):
+        pos = np.arange(7)
+        assert np.array_equal(visible(pos, pos), np.tri(7, dtype=bool))

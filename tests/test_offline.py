@@ -7,7 +7,7 @@ from lazykv.engine import EngineParams, Session
 from lazykv.errors import InputError
 from lazykv.lazydetect import DetectParams
 from lazykv.model import ModelConfig, forward_full, ln, random_init
-from lazykv.numerics import MaskSpec, masked_row_softmax
+from lazykv.numerics import masked_row_softmax
 from lazykv.offline import CorpusSample, FrequencyTable, load_corpus, preselect
 
 from oracles import lazy_ratio_bruteforce
@@ -86,7 +86,7 @@ def bruteforce_layer_ratios(tokens, weights, config, detect):
             q = x_norm @ weights.w_q[layer, h]
             k = x_norm @ weights.w_k[layer, h]
             heads.append(
-                masked_row_softmax((q @ k.T) * config.score_scale, MaskSpec.causal())
+                masked_row_softmax((q @ k.T) * config.score_scale, np.tri(len(q), dtype=bool))
             )
         ratios.append(lazy_ratio_bruteforce(np.stack(heads), detect))
     return ratios

@@ -17,7 +17,6 @@ from lazykv.theory import (
     discarded_mass,
     lemma_oracles,
     run_pair,
-    streaming_allowed_sets,
     verify_theorem,
 )
 from lazykv.theory import (
@@ -25,6 +24,13 @@ from lazykv.theory import (
     _trial_mha_lipschitz,
     _trial_matvec_norm,
     _trial_softmax_lipschitz,
+)
+
+from oracles import streaming_allowed_sets
+
+BAD_WINDOWS = pytest.mark.parametrize(
+    "keep", [(-1, 2), (0, 0), (2, -1)],
+    ids=["negative-sink", "zero-recent", "negative-recent"],
 )
 
 
@@ -106,27 +112,25 @@ class TestDiscardedMass:
         weights = scaled_weights(config, 0)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, config.d_model))
-        full_sets = [np.arange(i + 1) for i in range(6)]
-        assert discarded_mass(x, weights, 0, full_sets, config) == 0.0
+        assert discarded_mass(x, weights, 0, (0, 6), config) == 0.0
 
     def test_uniform_row_mass_fraction(self):
-        # zero q/k weights give uniform attention; drop 4 of the last row's 10
+        # zero q/k weights give uniform attention; six sinks and a one-row
+        # window keep 7 of the last row's 10, discarding 6..8
         config = theory_config(n_heads=1)
         weights = random_init(config, 0, 0.0)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((10, config.d_model))
-        sets = [np.arange(i + 1) for i in range(9)]
-        sets.append(np.array([0, 1, 2, 3, 4, 5]))  # row 9 discards 6..9
-        got = discarded_mass(x, weights, 0, sets, config)
-        assert abs(got - 0.4) <= 1e-12
+        got = discarded_mass(x, weights, 0, (6, 1), config)
+        assert abs(got - 0.3) <= 1e-12
 
     def test_matches_full_softmax_oracle(self):
         config = theory_config(n_heads=2)
         weights = scaled_weights(config, 3, target_b=1.1)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((9, config.d_model))
+        got = discarded_mass(x, weights, 1, (1, 3), config)
         sets = streaming_allowed_sets(9, 1, 3)
-        got = discarded_mass(x, weights, 1, sets, config)
         assert abs(got - oracle_discarded(x, weights, 1, sets, config)) <= 1e-12
 
     def test_monotone_in_discarded_set(self):
@@ -134,8 +138,8 @@ class TestDiscardedMass:
         weights = scaled_weights(config, 5)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, config.d_model))
-        wide = streaming_allowed_sets(8, 2, 4)   # keeps more
-        narrow = streaming_allowed_sets(8, 1, 2)  # keeps less, discards more
+        wide = (2, 4)   # keeps more
+        narrow = (1, 2)  # keeps less, discards more
         assert discarded_mass(x, weights, 0, narrow, config) >= discarded_mass(
             x, weights, 0, wide, config
         )
@@ -143,63 +147,47 @@ class TestDiscardedMass:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_oracle_on_random_sets(self, data):
-        # streaming windows, or any non-empty sets, entries above the row too
+        # random windows, vacuous ones (sinks or window >= n) included
         n = data.draw(st.integers(1, 24))
         n_heads = data.draw(st.integers(1, 3))
         config = theory_config(n_heads=n_heads, d_model=5, d_head=3)
         weights = scaled_weights(config, data.draw(st.integers(0, 2**16)), target_b=1.2)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         x = rng.standard_normal((n, config.d_model)) * data.draw(st.sampled_from([0.3, 1.0, 3.0]))
-        if data.draw(st.booleans()):
-            sets = streaming_allowed_sets(
-                n, data.draw(st.integers(0, 3)), data.draw(st.integers(1, max(1, n)))
-            )
-        else:
-            cols = st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
-            sets = [np.array(data.draw(cols)) for _ in range(n)]
+        keep = (data.draw(st.integers(0, 4)), data.draw(st.integers(1, n + 2)))
+        sets = streaming_allowed_sets(n, *keep)
         layer = data.draw(st.integers(0, config.n_layers - 1))
-        got = discarded_mass(x, weights, layer, sets, config)
+        got = discarded_mass(x, weights, layer, keep, config)
         assert abs(got - oracle_discarded(x, weights, layer, sets, config)) <= 1e-12
 
-    def test_wrong_number_of_sets_is_input_error(self):
-        config = theory_config()
-        weights = scaled_weights(config, 0)
-        x = np.zeros((3, config.d_model))
-        with pytest.raises(InputError):
-            discarded_mass(x, weights, 0, [np.array([0]), np.array([0, 1])], config)
-
-    @pytest.mark.parametrize("bad", [-1, 3])
-    def test_out_of_range_index_raises(self, bad):
-        # a bare scatter would wrap -1 round to column n-1
+    @BAD_WINDOWS
+    def test_invalid_window_is_input_error(self, keep):
         config = theory_config()
         weights = scaled_weights(config, 0)
         x = np.random.default_rng(0).standard_normal((3, config.d_model))
-        sets = [np.array([0]), np.array([0, 1]), np.array([0, bad])]
-        with pytest.raises(ContractViolation, match="row 2"):
-            discarded_mass(x, weights, 0, sets, config)
+        with pytest.raises(InputError, match="window"):
+            discarded_mass(x, weights, 0, keep, config)
 
     def test_requires_theory_config(self):
         config = ModelConfig(n_layers=1, n_heads=1, d_model=3, d_head=2,
                              vocab_size=4, ln_mode="rms")
         weights = random_init(config, 0, 0.1)
         with pytest.raises(ContractViolation):
-            discarded_mass(np.zeros((2, 3)), weights, 0,
-                           [np.array([0]), np.array([0, 1])], config)
+            discarded_mass(np.zeros((2, 3)), weights, 0, (0, 2), config)
 
 
 class TestRunPair:
     def test_no_lazy_layers_zero_errors(self):
         config = theory_config()
         weights = scaled_weights(config, 7)
-        trace = run_pair(weights, config, [0, 1, 2, 3], [], streaming_allowed_sets(4, 1, 2))
+        trace = run_pair(weights, config, [0, 1, 2, 3], [], (1, 2))
         assert trace.hidden_errors == [0.0] * (config.n_layers + 1)
         assert trace.logit_error == 0.0
 
     def test_vacuous_masks_zero_errors(self):
         config = theory_config()
         weights = scaled_weights(config, 8)
-        full_sets = [np.arange(i + 1) for i in range(5)]
-        trace = run_pair(weights, config, [1, 2, 3, 4, 5], [1], full_sets)
+        trace = run_pair(weights, config, [1, 2, 3, 4, 5], [1], (0, 5))
         assert trace.hidden_errors == [0.0] * (config.n_layers + 1)
         assert trace.logit_error == 0.0
         assert trace.discarded[1] == 0.0
@@ -210,8 +198,8 @@ class TestRunPair:
         rng = np.random.default_rng(10)
         tokens = rng.integers(0, config.vocab_size, size=16)
         lazy = [2]
+        trace = run_pair(weights, config, tokens, lazy, (1, 4))
         sets = streaming_allowed_sets(16, 1, 4)
-        trace = run_pair(weights, config, tokens, lazy, sets)
 
         ref_xs, _ = oracle_forward(tokens, weights, config, [], sets)
         mod_xs, mod_logits = oracle_forward(tokens, weights, config, lazy, sets)
@@ -224,6 +212,13 @@ class TestRunPair:
         assert abs(
             trace.discarded[2] - oracle_discarded(orig.xs[2], weights, 2, sets, config)
         ) <= 1e-10
+
+    @BAD_WINDOWS
+    def test_invalid_window_is_input_error(self, keep):
+        config = theory_config()
+        weights = scaled_weights(config, 0)
+        with pytest.raises(InputError, match="window"):
+            run_pair(weights, config, [0, 1, 2], [0], keep)
 
 
 class TestBounds:
@@ -264,8 +259,7 @@ class TestBounds:
     def test_zero_weights_trivial_pass(self):
         config = theory_config()
         weights = random_init(config, 0, 0.0)
-        sets = streaming_allowed_sets(6, 1, 2)
-        trace = run_pair(weights, config, [0, 1, 2, 3, 4, 5], [0, 1], sets)
+        trace = run_pair(weights, config, [0, 1, 2, 3, 4, 5], [0, 1], (1, 2))
         constants = TheoremConstants.from_model(weights, config)
         assert all(m >= 0 for m in check_recursive_bound(trace, constants, [0, 1]))
         assert check_logit_bound(trace, constants, [0, 1]) >= 0
