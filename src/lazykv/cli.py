@@ -222,7 +222,7 @@ def cmd_bench(args) -> int:
     import numpy as np
 
     from .engine import EngineParams, baseline_params, identification_overhead
-    from .errors import InputError
+    from .errors import InputError, check_seed
     from .model import load_model
 
     # The report takes medians over runs and over decode steps.
@@ -232,7 +232,7 @@ def cmd_bench(args) -> int:
     lengths = _parse_int_list(args.lengths, "--lengths", minimum=1)
     config, weights, _ = load_model(args.model)
     detect = _detect_from_args(args, config.n_layers)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(check_seed(args.seed))
     prompts = {
         n: rng.integers(0, config.vocab_size, size=n) for n in lengths
     }

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ContractViolation, InputError
+from .errors import ContractViolation, InputError, check_seed
 from .kvcache import CachePolicy, LayerCache, MemoryMeter, attend_from_cache
 from .lazydetect import DetectParams, IdentifierState, LazyRatioReport, lse_log_ratios
 from .model import (
@@ -456,7 +456,7 @@ def make_policy(
             raise InputError(
                 f"range [{lo}, {hi}) holds {hi - lo} layers, need {n_lazy}"
             )
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(check_seed(seed))
         chosen = sorted(int(i) for i in rng.choice(np.arange(lo, hi), size=n_lazy, replace=False))
         return PolicyFile(
             fingerprint=fingerprint,

@@ -11,3 +11,10 @@ class InputError(ValueError):
 
 class ContractViolation(RuntimeError):
     """An API precondition or internal invariant was broken."""
+
+
+def check_seed(seed):
+    """Return ``seed`` for ``numpy.random.default_rng``, refusing negatives."""
+    if seed is not None and seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    return seed

@@ -43,7 +43,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractViolation, InputError
+from .errors import ContractViolation, InputError, check_seed
 from .numerics import attend, masked_row_softmax, visible
 
 __all__ = [
@@ -157,9 +157,7 @@ def ln(x: np.ndarray, mode: str) -> np.ndarray:
     # and np.mean compute, bit for bit, without their wrapper overhead.
     squares = (rows * rows).sum(axis=1, keepdims=True)
     if mode == "clip":
-        norms = np.sqrt(squares)
-        factor = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
-        out = rows * factor
+        out = rows * (1.0 / np.maximum(np.sqrt(squares), 1.0))
     elif mode == "rms":
         out = rows / np.sqrt(squares / rows.shape[1] + RMS_EPS)
     else:
@@ -303,7 +301,7 @@ def random_init(config: ModelConfig, seed: int, scale: float) -> Weights:
     """Reproducible uniform(-scale, scale) weights; scale 0 gives all zeros."""
     if not (math.isfinite(scale) and scale >= 0):
         raise InputError(f"scale must be finite and >= 0, got {scale}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     L, H, d, dk, v = (
         config.n_layers,
         config.n_heads,

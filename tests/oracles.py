@@ -5,15 +5,22 @@ package's fast paths to be checked against.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from lazykv.errors import ContractViolation, InputError
 from lazykv.kvcache import kept_positions_for
 from lazykv.lazydetect import DetectParams, lse_log_ratios
-from lazykv.model import ffn_forward, ln, project_qkv
-from lazykv.numerics import _as_matrix, _masked_max_and_expsum, masked_row_softmax
+from lazykv.model import block_forward, ffn_forward, forward_full, ln, project_qkv
+from lazykv.numerics import (
+    _as_matrix,
+    _masked_max_and_expsum,
+    frobenius_norm,
+    masked_row_softmax,
+    row_2inf_norm,
+)
+from lazykv.theory import ErrorTrace, _check_window, _require_theory_config, discarded_mass
 
 
 @dataclass(frozen=True)
@@ -153,3 +160,55 @@ def _causal_tile(q, k, v, scale: float, r0: int):
     out = np.matmul(scores, v[:, :r1])
     out /= sums[:, :, None]
     return out, lse
+
+
+def ln_clip_where(x) -> np.ndarray:
+    """Clip normalization with an explicit branch: rows of Euclidean norm
+    above 1 are divided by it, every other row is left as it is."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    rows = x[None, :] if single else x
+    norms = np.sqrt(np.sum(rows * rows, axis=1, keepdims=True))
+    factor = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
+    out = rows * factor
+    return out[0] if single else out
+
+
+def run_pair_every_layer(
+    weights,
+    config,
+    tokens,
+    lazy_layers: Sequence[int],
+    keep: Tuple[int, int],
+) -> ErrorTrace:
+    """``theory.run_pair`` with the reduced network rebuilt from the
+    embedding up: every layer runs, and every error is measured."""
+    _require_theory_config(config)
+    _check_window(keep)
+    lazy = sorted(set(int(i) for i in lazy_layers))
+    if lazy and (lazy[0] < 0 or lazy[-1] >= config.n_layers):
+        raise InputError(f"lazy layers {lazy} outside 0..{config.n_layers - 1}")
+    original = forward_full(tokens, weights, config)
+
+    x_mod = original.xs[0]
+    hidden_errors = [0.0]
+    discarded: Dict[int, float] = {}
+    for layer in range(config.n_layers):
+        window = keep if layer in lazy else None
+        _, x_mod = block_forward(x_mod, layer, weights, config, window)
+        hidden_errors.append(row_2inf_norm(original.xs[layer + 1] - x_mod))
+        if layer in lazy:
+            discarded[layer] = discarded_mass(original.xs[layer], weights, layer, keep, config)
+    logits_mod = x_mod @ weights.unembed
+    logit_error = row_2inf_norm(original.logits - logits_mod)
+
+    # Unembedding transcription check: the logit error can never exceed the
+    # final hidden error scaled by the unembedding norm.
+    cap = frobenius_norm(weights.unembed) * hidden_errors[-1]
+    if logit_error > cap + 1e-9:
+        raise ContractViolation(
+            f"logit error {logit_error} exceeds unembedding cap {cap}"
+        )
+    return ErrorTrace(
+        hidden_errors=hidden_errors, discarded=discarded, logit_error=logit_error
+    )

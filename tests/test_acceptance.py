@@ -304,6 +304,45 @@ def test_criterion_07_decode_cost_scaling():
     )
 
 
+def test_criterion_07_rows_attended_per_step():
+    """Criterion 7 by count, not clock: a streaming layer never holds more
+    than its window while a full layer holds every position seen."""
+    config = ModelConfig(
+        n_layers=2, n_heads=1, d_model=32, d_head=16, vocab_size=64,
+        ln_mode="rms", logit_scaling="inv_sqrt_dk",
+    )
+    weights = random_init(config, 107, 0.3)
+    detect = DetectParams(w_last=16, w_sink=4, w_recent=60, n_full=1)
+    rng = np.random.default_rng(107)
+    configs_lazy = {"stream": [0, 1], "hybrid": [0], "full": []}
+    prompts = {n: rng.integers(0, config.vocab_size, size=n) for n in BENCH_LENGTHS}
+    window = detect.w_sink + detect.w_recent
+    for n, prompt in prompts.items():
+        for name, lazy_layers in configs_lazy.items():
+            policy = PolicyFile(
+                fingerprint="", lazy_layers=list(lazy_layers), w_sink=detect.w_sink,
+                w_recent=detect.w_recent, provenance="manual",
+            )
+            s = Session(weights, config, EngineParams(detect=detect, policy=policy))
+            s.prefill(prompt)
+            kinds = ["streaming" if i in lazy_layers else "full"
+                     for i in range(config.n_layers)]
+            assert [c.policy.kind for c in s.caches] == kinds, (name, n)
+            tok = 1
+            for step in range(4):
+                if step:
+                    tok = int(np.argmax(s.decode_step(tok)))
+                seen = n + step
+                for layer, c in enumerate(s.caches):
+                    assert c.total_seen == seen, (name, n, step, layer)
+                    if c.policy.kind == "streaming":
+                        assert c.size <= window, (name, n, step, layer, c.size)
+                    else:
+                        assert np.array_equal(c.kept_positions, np.arange(seen))
+    report(7, f"streaming caches hold <= {window} rows at every step from 1K to 8K; "
+              "full caches hold every position")
+
+
 def test_criterion_08_identification_overhead():
     """Online detection costs <= 10% at N=4K, with non-increasing trend."""
     config = ModelConfig(

@@ -446,6 +446,41 @@ class TestFlagBoundary:
         assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-model", "--layers", 1, "--heads", 1, "--dim", 3, "--dk", 2, "--vocab", 4,
+         "--seed", -1, "--out", "OUT"],
+        ["bench", "--model", "MODEL", "--lengths", 8, "--repeats", 1, "--max-new", 1,
+         "--seed", -3],
+        ["verify-theory", "--trials", 1, "--lemma-trials", 1, "--seed", -1],
+        ["make-policy", "--model", "MODEL", "--strategy", "random", "--seed", -2,
+         "--out", "OUT"],
+    ],
+    ids=["gen-model", "bench", "verify-theory", "make-policy"],
+)
+def test_negative_seed_is_one_line_input_error(tmp_path, model_path, argv):
+    # A separate process, so that a traceback would reach stderr.
+    import os
+    import subprocess
+    import sys
+
+    import lazykv
+
+    out = tmp_path / "out"
+    argv = [{"MODEL": model_path, "OUT": out}.get(a, a) for a in argv]
+    src = os.path.dirname(os.path.dirname(lazykv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "lazykv.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: seed must be >= 0")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["definitely-not-a-command"])

@@ -25,6 +25,8 @@ from lazykv.model import (
     save_model,
 )
 
+from oracles import ln_clip_where
+
 
 def small_config(**kw):
     base = dict(n_layers=2, n_heads=2, d_model=4, d_head=3, vocab_size=7)
@@ -55,10 +57,8 @@ def ln_mean_formulas(x, mode):
     x = np.asarray(x, dtype=np.float64)
     rows = x[None, :] if x.ndim == 1 else x
     if mode == "clip":
-        norms = np.sqrt(np.sum(rows * rows, axis=1, keepdims=True))
-        out = rows * np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
-    else:
-        out = rows / np.sqrt(np.mean(rows * rows, axis=1, keepdims=True) + RMS_EPS)
+        return ln_clip_where(x)
+    out = rows / np.sqrt(np.mean(rows * rows, axis=1, keepdims=True) + RMS_EPS)
     return out[0] if x.ndim == 1 else out
 
 
@@ -83,6 +83,32 @@ class TestLn:
         got = ln(x, mode)
         assert got.dtype == np.float64
         assert np.array_equal(got, ln_mean_formulas(x, mode))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [0.0, 0.0, 0.0],
+            [1e-300, -1e-300],
+            [1.0],
+            [-1.0, 0.0],
+            [0.5, -0.5, 0.5, 0.5],
+            [np.nextafter(1.0, 2.0)],
+            [0.0, -np.nextafter(1.0, 2.0)],
+            [3e153, 4e153],
+            [1e200, -1e200],
+        ],
+        ids=["zero", "squares-underflow", "norm-1", "norm-1-negative", "norm-1-spread",
+             "ulp-above-1", "ulp-above-1-negative", "norm-5e153", "squares-overflow"],
+    )
+    def test_clip_matches_the_where_formula_at_the_edges(self, row):
+        """The edges of the clip branch; the test above draws random rows."""
+        row = np.asarray(row)
+        rows = np.stack([row, np.zeros_like(row), 2.0 * row])
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(np.sum(row * row))
+            assert norm in (0.0, 1.0, np.nextafter(1.0, 2.0)) or norm > 1e150
+            assert np.array_equal(ln(row, "clip"), ln_clip_where(row))
+            assert np.array_equal(ln(rows, "clip"), ln_clip_where(rows))
 
     def test_clip_identity_branch(self):
         v = np.array([0.3, 0.4])

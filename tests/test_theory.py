@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lazykv.theory
 from lazykv.errors import ContractViolation, InputError
 from lazykv.model import ModelConfig, forward_full, random_init
 from lazykv.theory import (
@@ -26,7 +27,7 @@ from lazykv.theory import (
     _trial_softmax_lipschitz,
 )
 
-from oracles import streaming_allowed_sets
+from oracles import run_pair_every_layer, streaming_allowed_sets
 
 BAD_WINDOWS = pytest.mark.parametrize(
     "keep", [(-1, 2), (0, 0), (2, -1)],
@@ -219,6 +220,45 @@ class TestRunPair:
         weights = scaled_weights(config, 0)
         with pytest.raises(InputError, match="window"):
             run_pair(weights, config, [0, 1, 2], [0], keep)
+
+    @pytest.mark.parametrize("pattern", ["none", "first", "last", "all", "drawn"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_every_layer_oracle(self, pattern, data):
+        L = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(2, 6))
+        config = theory_config(
+            n_layers=L, n_heads=data.draw(st.integers(1, 3)), d_model=d,
+            d_head=data.draw(st.integers(1, d)), vocab=data.draw(st.integers(2, 9)),
+            activation=data.draw(st.sampled_from(["relu", "gelu", "sigmoid"])),
+        )
+        weights = scaled_weights(
+            config, data.draw(st.integers(0, 2**16)), data.draw(st.floats(0.1, 1.5))
+        )
+        n = data.draw(st.integers(1, 30))
+        tokens = np.random.default_rng(data.draw(st.integers(0, 2**16))).integers(
+            0, config.vocab_size, size=n
+        )
+        keep = (data.draw(st.integers(0, 3)), data.draw(st.integers(1, n + 2)))
+        lazy = {
+            "none": [],
+            "first": [0],
+            "last": [L - 1],
+            "all": list(range(L)),
+            "drawn": data.draw(st.lists(st.integers(0, L - 1), max_size=L)),
+        }[pattern]
+        trace = run_pair(weights, config, tokens, lazy, keep)
+        expect = run_pair_every_layer(weights, config, tokens, lazy, keep)
+        assert trace.hidden_errors == expect.hidden_errors
+        assert trace.discarded == expect.discarded
+        assert trace.logit_error == expect.logit_error
+
+    @pytest.mark.parametrize("max_tokens", [24, 70])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_verify_theorem_equals_the_every_layer_oracle(self, monkeypatch, seed, max_tokens):
+        report = verify_theorem(n_trials=50, seed=seed, max_tokens=max_tokens)
+        monkeypatch.setattr(lazykv.theory, "run_pair", run_pair_every_layer)
+        assert report == verify_theorem(n_trials=50, seed=seed, max_tokens=max_tokens)
 
 
 class TestBounds:
