@@ -6,7 +6,8 @@ afterwards. Prefill makes the same attention call as ``forward_full`` at
 every length, so its logits are bit-identical to the plain model's. Prompts
 of up to ``_PREFILL_BLOCK`` (64) tokens run on the model's per-head path;
 longer ones on the model's tiled causal kernel, one ``numerics.attend``
-call per query tile, which also returns every row's log-sum-exp.
+call per query tile, which also returns every row's log-sum-exp. Like
+decode, it weights the normalized input rows and applies W_V after the sum.
 
 * online mode: after each layer's attention, its lazy ratio is computed
   from the log-sum-exp shortcut (``lse_log_ratios``) and pushed into a
@@ -245,16 +246,13 @@ class Session:
         for layer in range(cfg.n_layers):
             x_norm = ln(x, cfg.ln_mode)
             q, k = project_qkv(x_norm, self.weights, layer)
-            # The values mha_forward forms, so the two agree bit for bit.
-            v = np.matmul(x_norm, self.weights.w_v[layer])
+            w_v = self.weights.w_v[layer]
+            # Either branch is forward_full's call, so the two agree bit for bit.
             lse = None
             if n > _PREFILL_BLOCK:
-                # The call and head sum mha_from_projections makes for
-                # forward_full, so the two agree bit for bit.
-                heads, lse = _causal_attention(q, k, v, scale)
-                attn = heads.sum(axis=0)
+                attn, lse = _causal_attention(q, k, x_norm, w_v, scale)
             else:
-                attn = mha_from_projections(q, k, v, scale)
+                attn = mha_from_projections(q, k, x_norm, w_v, scale)
             self.caches[layer].append(k, x_norm)
             self._observe()
             if online:
@@ -301,9 +299,9 @@ class Session:
         )
         self.prefilled = True
         self.tokens = [int(t) for t in tokens]
-        # Same matrix-matrix unembedding as the plain forward pass, so the
-        # returned row is bit-identical to forward_full's last logits row.
-        logits = (x @ self.weights.unembed)[-1]
+        # The plain forward pass's matrix-matrix unembedding, so the row is
+        # bit-identical to forward_full's; copied, so it pins no (n, vocab) block.
+        logits = (x @ self.weights.unembed)[-1].copy()
         return logits, self.report
 
     # -- decode --------------------------------------------------------------

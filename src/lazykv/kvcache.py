@@ -23,7 +23,7 @@ one ``(rows, d_model)`` buffer of the layer's normalized input rows X,
 shared by all heads: the model has no positional encoding, so head h's
 values are X W_V,h, and ``attend_from_cache`` applies W_V after the
 weighted sum, sum_h (p_h X) W_V,h (the weight absorption of MLA,
-DeepSeek-V2, applied to values only). A held row costs
+DeepSeek-V2, for values only; prefill tiles do the same). A held row costs
 ``(n_heads * d_key + d_model) * 8`` bytes, 1,024 on the 4-head, d_model 64,
 d_head 16 benchmark model against 2,560 for H per-head value rows. Full
 buffers grow geometrically, so appending one token during decode is

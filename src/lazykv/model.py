@@ -2,17 +2,15 @@
 
 Pre-norm residual blocks. Multi-head attention keeps the output projection
 merged into the per-head value matrices, so each head maps straight back to
-model width and head outputs are summed. Queries, keys and values are
-head-stacked ``(H, n, d)`` arrays. ``project_qkv`` gives only queries and
-keys: decode caches a layer's normalized input rows instead of per-head
-values (see ``kvcache``), so values are formed, as ``x_norm @ W_V``, only
-where full-sequence attention needs them. Attention is causal, or, where a
-caller passes ``keep=(w_sink, w_recent)``, the StreamingLLM window of
-``numerics.visible``; no other mask exists. Causal attention over more than
-``_PREFILL_BLOCK`` rows runs on ``_causal_attention``, one ``numerics.attend``
-call per query tile, which also gives every row's log-sum-exp; the engine's
-prefill calls that same kernel, so its logits equal ``forward_full``'s bit
-for bit at every prompt length. Two layer-norm modes:
+model width and head outputs are summed. Queries and keys are head-stacked
+``(H, n, d_head)`` arrays. Only the per-head path forms values ``x_norm @
+W_V``; the tiled kernel, like decode (see ``kvcache``), weights the shared
+input rows and applies W_V after the head sum. Attention is causal, or, with
+``keep=(w_sink, w_recent)``, the StreamingLLM window of ``numerics.visible``;
+no other mask exists. Causal attention over more than ``_PREFILL_BLOCK`` rows
+runs on ``_causal_attention``, one ``numerics.attend`` call per query tile,
+which also gives every row's log-sum-exp; prefill calls that same kernel, so
+its logits equal ``forward_full``'s bit for bit. Two layer-norm modes:
 
 * ``clip``: identity while a row's Euclidean norm is <= 1, else rescale the
   row to unit norm. This is the mode the error bounds are stated for.
@@ -177,74 +175,78 @@ def ln(x: np.ndarray, mode: str) -> np.ndarray:
 #    change to the benchmark alone first (ROADMAP item A).
 # Above it the kernel is not slower at any length measured. Attention of one
 # layer of the benchmark model (4 heads, d_model 64, d_head 16, one BLAS
-# thread, 2-CPU x86 host, best of 30+ runs, three rounds), per-head path vs
-# kernel (measured on the dedicated tile routine that ``attend`` replaced;
-# its tiles give the same numbers bit for bit from the same arithmetic):
-#   32 tokens: 0.15-0.23 vs 0.07-0.09 ms   (2.2-3.3x)
-#   64 tokens: 0.27-0.39 vs 0.15-0.21 ms   (1.8-1.9x)
-#  128 tokens: 0.87-1.24 vs 0.75-1.04 ms   (1.0-1.2x)
-#  256 tokens:   4.0-5.5 vs 1.5-2.1 ms     (2.6-2.7x)
-#  512 tokens:    18-25 vs 5.0-6.9 ms      (2.7-3.7x)
+# thread, 2-CPU x86 host with 2 MiB of L2 per core, best of 30+ runs, three
+# rounds), per-head path vs kernel at 32-row tiles:
+#   32 tokens: 0.15-0.23 vs 0.12-0.18 ms   (1.3-1.4x)
+#   64 tokens: 0.37-0.45 vs 0.34-0.42 ms   (1.1x)
+#  128 tokens: 1.27-1.68 vs 0.88-1.16 ms   (1.4-1.5x)
+#  256 tokens:   6.8-9.3 vs 2.5-3.3 ms     (2.7-2.9x)
+#  512 tokens:    29-33 vs 6.0-7.0 ms      (4.6-4.9x)
 _PREFILL_BLOCK = 64
-# Query rows per tile of the causal kernel.
-_PREFILL_TILE = 128
+# Query rows per tile of the causal kernel: one tile's (H, rows, keys) score
+# block then fits the 2 MiB per-core L2 up to about 2,000 keys. Median online
+# prefill of the benchmark model, ms, same host, 12 interleaved runs:
+#   rows per tile    16    32    48    64    96   128
+#   1,024 tokens    263   230   219   236   257   278
+#   1,536 tokens    519   482   482   499   546   613
+_PREFILL_TILE = 32
 
 
 def project_qkv(
     x_normed: np.ndarray, weights: Weights, layer: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Head-stacked query and key projections of already-normalized rows,
-    both ``(H, n, d_head)``. Values, ``(H, n, d_model)``, are
-    ``np.matmul(x_normed, weights.w_v[layer])`` where a caller needs them."""
+    both ``(H, n, d_head)``."""
     return (
         np.matmul(x_normed, weights.w_q[layer]),
         np.matmul(x_normed, weights.w_k[layer]),
     )
 
 
-def _causal_attention(q, k, v, scale: float):
-    """Exact causal attention over head-stacked (H, n, d) arrays.
+def _causal_attention(q, k, x_norm, w_v, scale: float):
+    """Exact causal attention over head-stacked q/k, summed over heads.
 
     Query rows go in tiles of ``_PREFILL_TILE`` (the query tiling of
     FlashAttention, Dao et al. 2022); each tile is one ``attend`` call over
     only the keys up to its own end, which masks just the tile's trailing
-    diagonal block. Returns ``(out (H, n, d_value), lse (H, n))``, the
-    per-row log-sum-exp being the normalizer of every causal row.
+    diagonal block, weighting the shared rows ``x_norm``, then one ``(t, H *
+    d_model) @ (H * d_model, d_value)`` product with W_V. Returns ``(out (n,
+    d_value), lse (H, n))``, the lse being the normalizer of every causal row.
     """
     n_heads, n, _ = q.shape
-    out = np.empty((n_heads, n, v.shape[2]))
+    w_v = w_v.reshape(n_heads * x_norm.shape[1], -1)
+    out = np.empty((n, w_v.shape[1]))
     lse = np.empty((n_heads, n))
     pos = np.arange(n)
     for r0 in range(0, n, _PREFILL_TILE):
         r1 = min(r0 + _PREFILL_TILE, n)
-        out[:, r0:r1], lse[:, r0:r1] = attend(
-            q[:, r0:r1], k[:, :r1], scale, pos[r0:r1], pos[:r1], v[:, :r1]
+        rows, lse[:, r0:r1] = attend(
+            q[:, r0:r1], k[:, :r1], scale, pos[r0:r1], pos[:r1], x_norm[:r1]
         )
+        out[r0:r1] = rows.transpose(1, 0, 2).reshape(r1 - r0, -1) @ w_v
     return out, lse
 
 
-def mha_from_projections(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, keep=None
-) -> np.ndarray:
-    """Sum over heads of self-attention, from head-stacked q/k/v.
+def mha_from_projections(q, k, x_norm, w_v, scale: float, keep=None) -> np.ndarray:
+    """Sum over heads of self-attention, from head-stacked q/k, the shared
+    normalized input rows and the layer's ``(H, d_model, d_value)`` W_V.
 
     Causal by default; ``keep=(w_sink, w_recent)`` narrows every row to the
     streaming window (``numerics.visible``). Causal attention over more than
     ``_PREFILL_BLOCK`` rows runs on the tiled kernel, exactly as
-    ``Session.prefill`` does; everything else runs head by head through
-    ``masked_row_softmax``, on one mask built for all heads.
+    ``Session.prefill`` does; everything else forms per-head values and runs
+    head by head through ``masked_row_softmax``, on one mask for all heads.
     """
     n = q.shape[1]
     if keep is None and n > _PREFILL_BLOCK:
-        return _causal_attention(q, k, v, scale)[0].sum(axis=0)
+        return _causal_attention(q, k, x_norm, w_v, scale)[0]
     pos = np.arange(n)
     allowed = visible(pos, pos, keep)
+    if scale != 1.0:
+        q = q * scale
     out = None
-    for q_h, k_h, v_h in zip(q, k, v):
-        scores = q_h @ k_h.T
-        if scale != 1.0:
-            scores = scores * scale
-        head = masked_row_softmax(scores, allowed) @ v_h
+    for q_h, k_h, v_h in zip(q, k, np.matmul(x_norm, w_v)):
+        head = masked_row_softmax(q_h @ k_h.T, allowed) @ v_h
         out = head if out is None else out + head
     return out
 
@@ -260,8 +262,9 @@ def mha_forward(
             f"expected (N, {config.d_model}) input, got {x_normed.shape}"
         )
     q, k = project_qkv(x_normed, weights, layer)
-    v = np.matmul(x_normed, weights.w_v[layer])
-    return mha_from_projections(q, k, v, config.score_scale, keep)
+    return mha_from_projections(
+        q, k, x_normed, weights.w_v[layer], config.score_scale, keep
+    )
 
 
 def ffn_forward(y_normed: np.ndarray, weights: Weights, layer: int, config: ModelConfig) -> np.ndarray:

@@ -10,8 +10,9 @@ produced as exact zeros, so no NaNs can leak out of a softmax.
   is seen by query i iff ``k_pos[j] <= q_pos[i]``, optionally narrowed to
   the sink-plus-recent window of StreamingLLM, Xiao et al. 2023).
 * ``attend`` is the one attention kernel: head-stacked queries over
-  head-stacked keys, masked by ``visible``. Prefill tiles, detection,
-  decode and the decode mass probe all call it.
+  head-stacked keys, masked by ``visible``, weighting value rows that all
+  heads share. Prefill tiles, detection, decode and the decode mass probe
+  all call it.
 * ``masked_row_softmax`` takes one ``visible`` matrix per score matrix; the
   short-prompt and bound-checker per-head path uses it.
 """
@@ -84,7 +85,7 @@ def _masked_max_and_expsum(scores: np.ndarray, allowed=None, lead: int = 0):
 
 def attend(q, k, scale: float, q_pos=None, k_pos=None, v=None, keep=None):
     """Softmax attention of head-stacked queries ``(H, n_q, d)`` over keys
-    ``(H, n_k, d)``, scores multiplied by ``scale``.
+    ``(H, n_k, d)``, the queries multiplied by ``scale`` before scoring.
 
     Query i sees key j iff ``visible(q_pos, k_pos, keep)`` holds there;
     ``q_pos=None`` means every key is visible. Keys may come in any order,
@@ -92,10 +93,10 @@ def attend(q, k, scale: float, q_pos=None, k_pos=None, v=None, keep=None):
     keys older than every query are masked, so on a causal prefill tile just
     its diagonal block is; with ``keep`` every column is.
 
-    ``v`` is ``(H, n_k, d_v)``, or one ``(n_k, d_model)`` block of rows that
-    all heads share, weighted as one ``(H * n_q, n_k)`` GEMM. Returns ``(out
-    (H, n_q, d_v or d_model) or None when ``v`` is None, lse (H, n_q))``, the
-    log-sum-exp of every row's visible scores.
+    ``v`` is one ``(n_k, d_v)`` block of rows that all heads share, weighted
+    as one ``(H * n_q, n_k)`` GEMM. Returns ``(out (H, n_q, d_v) or None when
+    ``v`` is None, lse (H, n_q))``, the log-sum-exp of every row's visible
+    scores.
     """
     if q.ndim != 3 or k.ndim != 3 or q.shape[::2] != k.shape[::2] or not k.shape[1]:
         raise ContractViolation(
@@ -104,11 +105,11 @@ def attend(q, k, scale: float, q_pos=None, k_pos=None, v=None, keep=None):
         )
     n_heads, n_q, _ = q.shape
     n_k = k.shape[1]
-    if v is not None and v.shape[:-1] not in ((n_k,), (n_heads, n_k)):
+    if v is not None and (v.ndim != 2 or v.shape[0] != n_k):
         raise ContractViolation(f"values of shape {v.shape} do not match keys {k.shape}")
-    scores = np.matmul(q, k.transpose(0, 2, 1))
     if scale != 1.0:
-        scores *= scale
+        q = q * scale
+    scores = np.matmul(q, k.transpose(0, 2, 1))
     if q_pos is None:
         if keep is not None:
             raise ContractViolation("a retention window needs query positions")
@@ -128,10 +129,7 @@ def attend(q, k, scale: float, q_pos=None, k_pos=None, v=None, keep=None):
     lse = row_max + np.log(sums)
     if v is None:
         return None, lse
-    if v.ndim == 2:
-        out = (scores.reshape(n_heads * n_q, n_k) @ v).reshape(n_heads, n_q, -1)
-    else:
-        out = np.matmul(scores, v)
+    out = (scores.reshape(n_heads * n_q, n_k) @ v).reshape(n_heads, n_q, -1)
     out /= sums[..., None]
     return out, lse
 

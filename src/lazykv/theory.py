@@ -43,6 +43,7 @@ from .model import (
     ln,
     mha_forward,
     param_norm_bound,
+    project_qkv,
     random_init,
 )
 from .numerics import _masked_max_and_expsum, frobenius_norm, row_2inf_norm, visible
@@ -161,7 +162,7 @@ def discarded_mass(
     _check_window(keep)
     pos = np.arange(x_prev.shape[0])
     x_norm = ln(x_prev, config.ln_mode)
-    q, k = (np.matmul(x_norm, w[layer]) for w in (weights.w_q, weights.w_k))
+    q, k = project_qkv(x_norm, weights, layer)
     causal = visible(pos, pos)
     expd = q @ k.transpose(0, 2, 1)
     _, sums = _masked_max_and_expsum(expd, causal)

@@ -129,21 +129,26 @@ def lazy_ratio_lse(q_last, keys, lse, params: DetectParams, scale: float = 1.0) 
     return float(np.exp(lse_log_ratios(q_last, keys, lse, params, scale)).mean())
 
 
-def _causal_tile(q, k, v, scale: float, r0: int):
-    """Causal attention for the query rows at positions r0 .. r0+t-1.
+def _causal_tile(q, k, x, w_v, scale: float, r0: int):
+    """Causal attention for the query rows at positions r0 .. r0+t-1,
+    summed over heads.
 
-    ``q`` is (H, t, d_head); ``k`` and ``v`` hold at least the rows for
-    positions 0 .. r0+t-1, head-stacked, and ``v`` may be None when only the
-    log-sum-exp is wanted. Scores are formed only against those keys, and
-    only the trailing (t, t) diagonal block needs masking: a masked entry is
-    left out of the max, clamped so its exp cannot overflow, and zeroed by
-    the mask multiply. Returns ``(out (H, t, d_value) or None, lse (H, t))``.
+    ``q`` is (H, t, d_head) and ``k`` (H, >= r0+t, d_head); ``x`` holds at
+    least the shared input rows of positions 0 .. r0+t-1 and ``w_v`` is the
+    (H, d_model, d_value) value stack. The queries are scaled, not the
+    scores, which are formed only against keys up to the tile's end; only
+    the trailing (t, t) diagonal block needs masking: a masked entry is left
+    out of the max, clamped so its exp cannot overflow, and zeroed by the
+    mask multiply. The unnormalized weights of all heads go over the shared
+    rows as one (H * t, r0 + t) product and are divided by their sums; the
+    heads, side by side, then meet W_V in one product. Returns ``(out (t,
+    d_value), lse (H, t))``.
     """
-    t = q.shape[1]
+    n_heads, t, _ = q.shape
     r1 = r0 + t
-    scores = np.matmul(q, k[:, :r1].transpose(0, 2, 1))
     if scale != 1.0:
-        scores *= scale
+        q = q * scale
+    scores = np.matmul(q, k[:, :r1].transpose(0, 2, 1))
     diag = scores[:, :, r0:]
     tril = np.tri(t, dtype=bool)
     row_max = diag.max(axis=2, where=tril, initial=-np.inf)
@@ -155,11 +160,13 @@ def _causal_tile(q, k, v, scale: float, r0: int):
     diag *= tril
     sums = scores.sum(axis=2)
     lse = row_max + np.log(sums)
-    if v is None:
-        return None, lse
-    out = np.matmul(scores, v[:, :r1])
-    out /= sums[:, :, None]
-    return out, lse
+    weighted = (scores.reshape(n_heads * t, r1) @ x[:r1]).reshape(n_heads, t, -1)
+    weighted /= sums[:, :, None]
+    # The heads side by side by a transpose, not a concatenation: at d_model
+    # 1 the transpose is a strided view, and BLAS sums a strided operand of
+    # the W_V product in another order than a contiguous one.
+    side_by_side = weighted.transpose(1, 0, 2).reshape(t, -1)
+    return side_by_side @ w_v.reshape(-1, w_v.shape[2]), lse
 
 
 def ln_clip_where(x) -> np.ndarray:

@@ -96,7 +96,8 @@ def bruteforce_layer_ratios(tokens, weights, config, detect):
 
 @st.composite
 def causal_kernel_case(draw):
-    """Head-stacked q/k/v whose length sits on or around tile boundaries."""
+    """Head-stacked q/k, shared input rows x and a value stack w_v, the
+    length sitting on or around tile boundaries."""
     tiles = draw(st.integers(1, 3))
     n = draw(st.sampled_from([
         1,
@@ -105,51 +106,55 @@ def causal_kernel_case(draw):
         _PREFILL_TILE + 1,
         tiles * _PREFILL_TILE + draw(st.integers(1, _PREFILL_TILE - 1)),
     ]))
-    h, d_head, d_value = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    h, d_head = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    d_model, d_value = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     scale = draw(st.sampled_from([1.0, 0.5, 1.7]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spread = draw(st.sampled_from([0.1, 1.0, 4.0]))
     q = rng.standard_normal((h, n, d_head)) * spread
     k = rng.standard_normal((h, n, d_head)) * spread
-    v = rng.standard_normal((h, n, d_value))
-    return q, k, v, scale
+    x = rng.standard_normal((n, d_model))
+    w_v = rng.standard_normal((h, d_model, d_value))
+    return q, k, x, w_v, scale
 
 
 class TestCausalKernel:
     @settings(max_examples=40, deadline=None)
     @given(causal_kernel_case())
     def test_matches_mask_spec_oracles(self, case):
-        q, k, v, scale = case
-        out, lse = _causal_attention(q, k, v, scale)
+        q, k, x, w_v, scale = case
+        out, lse = _causal_attention(q, k, x, w_v, scale)
         causal = MaskSpec.causal()
+        expect_out = 0.0
         for h in range(q.shape[0]):
             scores = (q[h] @ k[h].T) * scale
-            expect_out = masked_row_softmax(scores, np.tri(len(scores), dtype=bool)) @ v[h]
-            assert np.allclose(out[h], expect_out, atol=1e-12, rtol=0)
+            v_h = x @ w_v[h]
+            expect_out = expect_out + masked_row_softmax(scores, np.tri(len(scores), dtype=bool)) @ v_h
             assert np.allclose(lse[h], masked_row_logsumexp(scores, causal), atol=1e-12, rtol=0)
+        assert np.allclose(out, expect_out, atol=1e-12, rtol=0)
 
     @settings(max_examples=40, deadline=None)
     @given(causal_kernel_case())
     def test_bit_identical_to_the_frozen_tile_oracle(self, case):
-        # each tile's attend call does the arithmetic of the dedicated tile
-        # routine it replaced, so prefill keeps its numbers bit for bit
-        q, k, v, scale = case
+        # each tile's attend call and W_V product do the arithmetic of the
+        # frozen tile routine, so prefill keeps its numbers bit for bit
+        q, k, x, w_v, scale = case
         n = q.shape[1]
-        out, lse = _causal_attention(q, k, v, scale)
+        out, lse = _causal_attention(q, k, x, w_v, scale)
         for r0 in range(0, n, _PREFILL_TILE):
             r1 = min(r0 + _PREFILL_TILE, n)
-            expect_out, expect_lse = _causal_tile(q[:, r0:r1], k, v, scale, r0)
-            assert np.array_equal(out[:, r0:r1], expect_out)
+            expect_out, expect_lse = _causal_tile(q[:, r0:r1], k, x, w_v, scale, r0)
+            assert np.array_equal(out[r0:r1], expect_out)
             assert np.array_equal(lse[:, r0:r1], expect_lse)
 
     @settings(max_examples=20, deadline=None)
     @given(causal_kernel_case(), st.integers(1, 40))
     def test_tail_tile_lse_equals_kernel_rows(self, case, w_last):
         # the short-prompt detection call: attend over only the last m rows
-        q, k, v, scale = case
+        q, k, x, w_v, scale = case
         n = q.shape[1]
         m = min(w_last, n)
-        _, lse = _causal_attention(q, k, v, scale)
+        _, lse = _causal_attention(q, k, x, w_v, scale)
         pos = np.arange(n)
         out, tail = attend(q[:, n - m :], k, scale, pos[n - m :], pos)
         assert out is None
@@ -165,6 +170,14 @@ class TestPrefill:
         logits, report = session.prefill(tokens)
         assert np.array_equal(logits, forward_full(tokens, weights, config).logits[-1])
         assert report.lazy_layers == []
+
+    def test_returned_logits_row_owns_its_memory(self):
+        # a view would keep the prompt's whole (n, vocab) logits matrix alive
+        # for as long as the caller holds the row
+        config, weights = make_model(0)
+        session = Session(weights, config, EngineParams())
+        logits, _ = session.prefill(random_prompt(np.random.default_rng(1), config, 12))
+        assert logits.base is None and logits.shape == (config.vocab_size,)
 
     def test_short_prompt_all_ratios_one(self):
         config, weights = make_model(2)
@@ -204,7 +217,8 @@ class TestPrefill:
 
     @pytest.mark.parametrize("mode", ["online", "static"])
     @pytest.mark.parametrize(
-        "n", [_PREFILL_BLOCK, _PREFILL_BLOCK + 1, _PREFILL_TILE + 1, 600]
+        # 4 * _PREFILL_TILE + 1: one row past a tile boundary, above the block
+        "n", [_PREFILL_BLOCK, _PREFILL_BLOCK + 1, 4 * _PREFILL_TILE + 1, 600]
     )
     def test_prefill_logits_bit_identical_to_forward_full(self, mode, n):
         # prefill and forward_full make the same attention call on either

@@ -1,5 +1,7 @@
 """Tests for the transformer blocks, weight init, and the model file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,13 +167,33 @@ class TestMha:
 
     def test_tiled_causal_branch_matches_oracle(self):
         # above _PREFILL_BLOCK rows a causal mask runs on the tiled kernel;
-        # _PREFILL_TILE + 5 rows span two tiles
+        # the rows span at least two tiles, the last one partial
         config = small_config(logit_scaling="inv_sqrt_dk")
         weights = random_init(config, 11, 0.8)
-        x = np.random.default_rng(11).standard_normal((_PREFILL_TILE + 5, config.d_model))
+        n = _PREFILL_BLOCK + _PREFILL_TILE + 5
+        x = np.random.default_rng(11).standard_normal((n, config.d_model))
         assert x.shape[0] > _PREFILL_BLOCK
         out = mha_forward(x, weights, 1, config)
         assert np.allclose(out, explicit_mha_oracle(x, weights, 1, config), atol=1e-10, rtol=0)
+
+    def test_tiled_causal_branch_forms_no_per_head_rows(self):
+        # the kernel weights the shared input rows and applies W_V after the
+        # head sum. Besides one tile's score block it holds q, k and the
+        # output, three (n, d_model)-sized buffers on this model, and a few
+        # per-tile ones; one (H, n, d_model) stack would add four more
+        config = ModelConfig(n_layers=1, n_heads=4, d_model=64, d_head=16, vocab_size=7)
+        weights = random_init(config, 12, 0.2)
+        n = _PREFILL_BLOCK + 8 * _PREFILL_TILE + 5
+        x = ln(np.random.default_rng(12).standard_normal((n, config.d_model)), "clip")
+        row_block = n * config.d_model * 8
+        score_block = config.n_heads * _PREFILL_TILE * n * 8
+        tracemalloc.start()
+        try:
+            mha_forward(x, weights, 0, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < score_block + 6 * row_block
 
     def test_vacuous_window_equals_causal(self):
         # a window that keeps every position: recent >= n, or sinks >= n
