@@ -92,9 +92,13 @@ def _parse_int_list(spec: str, flag: str, minimum=None):
 
 
 def _default_p(n_layers: int, p_arg) -> int:
-    if p_arg is not None:
-        return p_arg
-    return math.ceil(n_layers / 2)
+    from .errors import InputError
+
+    if p_arg is None:
+        return math.ceil(n_layers / 2)
+    if p_arg < 0:
+        raise InputError(f"--p-layers must be >= 0, got {p_arg}")
+    return p_arg
 
 
 def _detect_from_args(args, n_layers: int):
@@ -212,7 +216,7 @@ def _timed_generation(weights, config, params, tokens, max_new, warmup=2):
         "prefill_s": prefill_s,
         "decode_step_s": step_s,
         "decode_tokens_per_s": 1.0 / step_s if step_s > 0 else float("inf"),
-        "peak_rows": session.meter.peak_total,
+        "peak_rows": session.peak_rows,
         "peak_kv_bytes": session.peak_kv_bytes,
         "rows_after_prefill_and_decode": sum(c.size for c in session.caches),
     }
@@ -301,21 +305,23 @@ def cmd_analyze(args) -> int:
     import numpy as np
 
     from .engine import EngineParams, Session
-    from .lazydetect import DetectParams
+    from .lazydetect import DetectParams, lse_log_ratios
     from .model import load_model
+    from .numerics import attend
 
     config, weights, _ = load_model(args.model)
     tokens = _parse_tokens(args.tokens)
     sweep = sorted(set(_parse_int_list(args.w_last_sweep, "--w-last-sweep", minimum=1)))
+    L, scale = config.n_layers, config.score_scale
+    n_lazy = L - min(_default_p(L, args.p_layers), L)
     detect = DetectParams(
         w_last=max(sweep),
         w_sink=args.w_sink,
         w_recent=args.w_recent,
-        n_full=config.n_layers,  # observe only; never transfer
+        n_full=L,  # observe only: every cache stays full, in position order
     )
     params = EngineParams(detect=detect, max_new_tokens=args.max_new)  # refuses < 0
     session = Session(weights, config, params)
-    session.mass_probe = (args.w_sink, args.w_recent)
     logits, report = session.prefill(tokens)
 
     ratios_by_w = {}
@@ -328,12 +334,18 @@ def cmd_analyze(args) -> int:
     next_id = int(np.argmax(logits))
     decode_masses = []
     step_lazy_sets = []
-    n_lazy = config.n_layers - _default_p(config.n_layers, args.p_layers)
     for _ in range(args.max_new):
         logits = session.decode_step(next_id)
-        masses = session.mass_trace[-1]
-        decode_masses.append([float(v) for v in masses])
-        order = sorted(range(config.n_layers), key=lambda i: (-masses[i], -i))
+        # Each layer's kept mass for the newest row: its query, its lse over
+        # every held row, then the log-sum-exp shortcut of prefill detection.
+        masses = []
+        for layer, cache in enumerate(session.caches):
+            keys, inputs, _ = cache.held()
+            q = np.matmul(inputs[-1:], weights.w_q[layer])
+            _, lse = attend(q, keys, scale)
+            masses.append(float(np.exp(lse_log_ratios(q, keys, lse, detect, scale)).mean()))
+        decode_masses.append(masses)
+        order = sorted(range(L), key=lambda i: (-masses[i], -i))
         step_lazy_sets.append(sorted(order[:n_lazy]))
         next_id = int(np.argmax(logits))
     _emit(

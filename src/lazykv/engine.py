@@ -2,18 +2,17 @@
 
 Prefill always computes exact full-causal attention for every layer, so
 prefill logits match the plain model; what varies is cache retention
-afterwards. Prefill makes the same attention call as ``forward_full`` at
-every length, so its logits are bit-identical to the plain model's. Prompts
-of up to ``_PREFILL_BLOCK`` (64) tokens run on the model's per-head path;
-longer ones on the model's tiled causal kernel, one ``numerics.attend``
-call per query tile, which also returns every row's log-sum-exp. Like
-decode, it weights the normalized input rows and applies W_V after the sum.
+afterwards. Each layer makes ``forward_full``'s one attention call,
+``model.mha_from_projections``, so prefill logits are bit-identical to the
+plain model's. That call also returns every row's log-sum-exp when it runs
+on the tiled kernel (prompts longer than 64 tokens), and ``None`` on the
+per-head path.
 
 * online mode: after each layer's attention, its lazy ratio is computed
   from the log-sum-exp shortcut (``lse_log_ratios``) and pushed into a
-  bounded priority queue. Above ``_PREFILL_BLOCK`` the full-causal lse of
-  the trailing rows is read from the kernel's output; at or below it, one
-  ``attend`` call over just those rows gives it.
+  bounded priority queue. The full-causal lse of the trailing rows is read
+  from the kernel's output, or, for short prompts, from one ``attend`` call
+  over just those rows.
   A popped layer has its cache shrunk to the streaming window immediately,
   freeing memory mid-prefill. Hidden states of already-processed layers are
   never recomputed, so any divergence from the plain model appears only at
@@ -26,10 +25,7 @@ Decode runs one token at a time; each layer appends the new key rows and
 its normalized input row under its policy and attends over whatever the
 cache retained. The cache holds no per-head values: ``attend_from_cache``
 weights the held input rows and applies the layer's W_V after the sum, so
-a held row costs ``(n_heads * d_head + d_model) * 8`` bytes. A session with
-``mass_probe`` set also makes one ``attend`` call per layer without values,
-over the probe's window, and records the kept mass ``exp(lse_keep - lse)``,
-``lse`` being the one ``attend_from_cache`` returns for all held rows.
+a held row costs ``(n_heads * d_head + d_model) * 8`` bytes.
 """
 
 from __future__ import annotations
@@ -42,18 +38,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ContractViolation, InputError, check_seed
-from .kvcache import CachePolicy, LayerCache, MemoryMeter, attend_from_cache
+from .kvcache import CachePolicy, LayerCache, attend_from_cache
 from .lazydetect import DetectParams, IdentifierState, LazyRatioReport, lse_log_ratios
-from .model import (
-    _PREFILL_BLOCK,
-    ModelConfig,
-    Weights,
-    _causal_attention,
-    ffn_forward,
-    ln,
-    mha_from_projections,
-    project_qkv,
-)
+from .model import ModelConfig, Weights, ffn_forward, ln, mha_from_projections, project_qkv
 from .numerics import attend
 
 __all__ = [
@@ -198,23 +185,18 @@ class Session:
             if params.policy is None
             else None
         )
-        self.meter = MemoryMeter()
         self.prefilled = False
         self.tokens: List[int] = []
         self.generated: List[int] = []
         self.report: Optional[LazyRatioReport] = None
+        self.peak_rows = 0  # running peak of held rows over all layers
         self.peak_full_caches = 0
         self.decode_seconds: List[float] = []
-        # Diagnostic hook: when set to (w_sink, w_recent), every decode step
-        # records each layer's head-averaged attention mass on that retention
-        # set, one row per step in mass_trace.
-        self.mass_probe: Optional[Tuple[int, int]] = None
-        self.mass_trace: List[np.ndarray] = []
 
     # -- bookkeeping ---------------------------------------------------------
 
     def _observe(self) -> None:
-        self.meter.record([c.size for c in self.caches])
+        self.peak_rows = max(self.peak_rows, sum(c.size for c in self.caches))
         full = sum(1 for c in self.caches if c.policy.kind == "full" and c.size > 0)
         if full > self.peak_full_caches:
             self.peak_full_caches = full
@@ -246,13 +228,7 @@ class Session:
         for layer in range(cfg.n_layers):
             x_norm = ln(x, cfg.ln_mode)
             q, k = project_qkv(x_norm, self.weights, layer)
-            w_v = self.weights.w_v[layer]
-            # Either branch is forward_full's call, so the two agree bit for bit.
-            lse = None
-            if n > _PREFILL_BLOCK:
-                attn, lse = _causal_attention(q, k, x_norm, w_v, scale)
-            else:
-                attn = mha_from_projections(q, k, x_norm, w_v, scale)
+            attn, lse = mha_from_projections(q, k, x_norm, self.weights.w_v[layer], scale)
             self.caches[layer].append(k, x_norm)
             self._observe()
             if online:
@@ -316,24 +292,13 @@ class Session:
         t0 = time.perf_counter()
         cfg = self.config
         x = self.weights.embedding[token][None, :]
-        probe_masses = (
-            np.empty(cfg.n_layers) if self.mass_probe is not None else None
-        )
         for layer in range(cfg.n_layers):
             x_norm = ln(x, cfg.ln_mode)
             q, k = project_qkv(x_norm, self.weights, layer)
             cache = self.caches[layer]
             cache.append(k, x_norm)
-            attn, lse = attend_from_cache(cache, q, self.weights.w_v[layer], cfg)
-            if probe_masses is not None:
-                keys, _, held = cache.held()
-                newest = np.array([cache.total_seen - 1])
-                _, kept = attend(q, keys, cfg.score_scale, newest, held, keep=self.mass_probe)
-                probe_masses[layer] = float(np.exp(kept - lse).mean())
-            x = x + attn
+            x = x + attend_from_cache(cache, q, self.weights.w_v[layer], cfg)
             x = x + ffn_forward(ln(x, cfg.ln_mode), self.weights, layer, cfg)
-        if probe_masses is not None:
-            self.mass_trace.append(probe_masses)
         self._observe()
         self.tokens.append(token)
         logits = (x @ self.weights.unembed)[0]
@@ -361,7 +326,7 @@ class Session:
     def peak_kv_bytes(self) -> int:
         """Peak held rows over all layers times the bytes of one row."""
         row = self.caches[0].bytes_per_row if self.caches else 0
-        return self.meter.peak_total * row
+        return self.peak_rows * row
 
     def run_report(self) -> dict:
         rep = self.report.to_dict() if self.report is not None else {}
@@ -369,10 +334,10 @@ class Session:
         return {
             "lazy_layers": rep.get("lazy_layers", []),
             "per_layer_ratios": rep.get("ratios", []),
-            "peak_rows": self.meter.peak_total,
+            "peak_rows": self.peak_rows,
             "peak_kv_bytes": self.peak_kv_bytes,
             "peak_full_caches": self.peak_full_caches,
-            "rows_per_layer": list(self.meter.layer_rows),
+            "rows_per_layer": [c.size for c in self.caches],
             "decode_ms_per_step": (
                 float(np.median(decode_ms)) if decode_ms else None
             ),

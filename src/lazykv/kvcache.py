@@ -27,13 +27,14 @@ DeepSeek-V2, for values only; prefill tiles do the same). A held row costs
 ``(n_heads * d_key + d_model) * 8`` bytes, 1,024 on the 4-head, d_model 64,
 d_head 16 benchmark model against 2,560 for H per-head value rows. Full
 buffers grow geometrically, so appending one token during decode is
-amortized O(1).
+amortized O(1). ``size`` is the one row count: a session sums it for its
+peak and per-layer rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .numerics import attend
 __all__ = [
     "CachePolicy",
     "LayerCache",
-    "MemoryMeter",
     "kept_positions_for",
     "attend_from_cache",
 ]
@@ -218,23 +218,7 @@ class LayerCache:
         self._size = target.size
 
 
-@dataclass
-class MemoryMeter:
-    """Tracks the latest cached-row count per layer and the peak total."""
-
-    layer_rows: List[int] = field(default_factory=list)
-    peak_total: int = 0
-
-    def record(self, sizes: Sequence[int]) -> None:
-        self.layer_rows = list(sizes)
-        total = sum(self.layer_rows)
-        if total > self.peak_total:
-            self.peak_total = total
-
-
-def attend_from_cache(
-    cache: LayerCache, queries, w_v, config: ModelConfig
-) -> Tuple[np.ndarray, np.ndarray]:
+def attend_from_cache(cache: LayerCache, queries, w_v, config: ModelConfig) -> np.ndarray:
     """Attention of the most recent query rows over the cache's kept rows.
 
     ``queries`` is head-stacked ``(H, n_q, d_key)``. ``w_v`` is the layer's
@@ -245,9 +229,8 @@ def attend_from_cache(
     storage order and weights the shared input rows; the newest position
     alone sees every kept row, so a one-row query passes no positions and
     does no mask work. The weighted sums of all heads then go through W_V
-    as one ``(n_q, H * d_model) @ (H * d_model, d_value)`` product. Returns
-    ``(out (n_q, d_value), lse (H, n_q))``, ``lse`` being the log-sum-exp of
-    each row's visible scores.
+    as one ``(n_q, H * d_model) @ (H * d_model, d_value)`` product, giving
+    ``(n_q, d_value)``.
     """
     if cache.size == 0:
         raise ContractViolation("cannot attend from an empty cache")
@@ -268,6 +251,6 @@ def attend_from_cache(
     q_pos = None
     if n_q > 1:
         q_pos = np.arange(cache.total_seen - n_q, cache.total_seen, dtype=np.int64)
-    out, lse = attend(queries, keys, config.score_scale, q_pos, held, inputs)
+    out, _ = attend(queries, keys, config.score_scale, q_pos, held, inputs)
     w_v = w_v.reshape(cache.n_heads * cache.d_model, -1)
-    return out.transpose(1, 0, 2).reshape(n_q, -1) @ w_v, lse
+    return out.transpose(1, 0, 2).reshape(n_q, -1) @ w_v

@@ -9,8 +9,10 @@ input rows and applies W_V after the head sum. Attention is causal, or, with
 ``keep=(w_sink, w_recent)``, the StreamingLLM window of ``numerics.visible``;
 no other mask exists. Causal attention over more than ``_PREFILL_BLOCK`` rows
 runs on ``_causal_attention``, one ``numerics.attend`` call per query tile,
-which also gives every row's log-sum-exp; prefill calls that same kernel, so
-its logits equal ``forward_full``'s bit for bit. Two layer-norm modes:
+which also gives every row's log-sum-exp. ``mha_from_projections`` returns
+that lse beside the output, and ``Session.prefill`` makes the same call as
+``forward_full``, so its logits equal the plain model's bit for bit. Two
+layer-norm modes:
 
 * ``clip``: identity while a row's Euclidean norm is <= 1, else rescale the
   row to unit norm. This is the mode the error bounds are stated for.
@@ -227,19 +229,20 @@ def _causal_attention(q, k, x_norm, w_v, scale: float):
     return out, lse
 
 
-def mha_from_projections(q, k, x_norm, w_v, scale: float, keep=None) -> np.ndarray:
+def mha_from_projections(q, k, x_norm, w_v, scale: float, keep=None):
     """Sum over heads of self-attention, from head-stacked q/k, the shared
     normalized input rows and the layer's ``(H, d_model, d_value)`` W_V.
 
     Causal by default; ``keep=(w_sink, w_recent)`` narrows every row to the
     streaming window (``numerics.visible``). Causal attention over more than
-    ``_PREFILL_BLOCK`` rows runs on the tiled kernel, exactly as
-    ``Session.prefill`` does; everything else forms per-head values and runs
-    head by head through ``masked_row_softmax``, on one mask for all heads.
+    ``_PREFILL_BLOCK`` rows runs on the tiled kernel; everything else forms
+    per-head values and runs head by head through ``masked_row_softmax``, on
+    one mask for all heads. Returns ``(out (n, d_value), lse)``: the kernel's
+    ``(H, n)`` log-sum-exp of every row, or ``None`` on the per-head path.
     """
     n = q.shape[1]
     if keep is None and n > _PREFILL_BLOCK:
-        return _causal_attention(q, k, x_norm, w_v, scale)[0]
+        return _causal_attention(q, k, x_norm, w_v, scale)
     pos = np.arange(n)
     allowed = visible(pos, pos, keep)
     if scale != 1.0:
@@ -248,7 +251,7 @@ def mha_from_projections(q, k, x_norm, w_v, scale: float, keep=None) -> np.ndarr
     for q_h, k_h, v_h in zip(q, k, np.matmul(x_norm, w_v)):
         head = masked_row_softmax(q_h @ k_h.T, allowed) @ v_h
         out = head if out is None else out + head
-    return out
+    return out, None
 
 
 def mha_forward(
@@ -264,7 +267,7 @@ def mha_forward(
     q, k = project_qkv(x_normed, weights, layer)
     return mha_from_projections(
         q, k, x_normed, weights.w_v[layer], config.score_scale, keep
-    )
+    )[0]
 
 
 def ffn_forward(y_normed: np.ndarray, weights: Weights, layer: int, config: ModelConfig) -> np.ndarray:

@@ -11,8 +11,8 @@ produced as exact zeros, so no NaNs can leak out of a softmax.
   the sink-plus-recent window of StreamingLLM, Xiao et al. 2023).
 * ``attend`` is the one attention kernel: head-stacked queries over
   head-stacked keys, masked by ``visible``, weighting value rows that all
-  heads share. Prefill tiles, detection, decode and the decode mass probe
-  all call it.
+  heads share. Prefill tiles, detection, decode and ``analyze``'s kept
+  masses all call it.
 * ``masked_row_softmax`` takes one ``visible`` matrix per score matrix; the
   short-prompt and bound-checker per-head path uses it.
 """

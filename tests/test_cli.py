@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import lazykv.engine
 from lazykv.cli import main
-from lazykv.model import forward_full, load_model
+from lazykv.kvcache import kept_positions_for
+from lazykv.model import forward_full, ln, load_model
 
 
 def run_cli(*argv):
@@ -363,6 +365,75 @@ class TestAnalyze:
         )
         assert len(data["decode_step_lazy_sets"]) == 6
 
+    def test_decode_masses_match_forward_trace_oracle(self, tmp_path):
+        # each step's kept mass of the newest row, brute force over the plain
+        # model's causal softmax weights of every layer and head
+        path = tmp_path / "raw.lazykv"
+        assert run_cli(
+            "gen-model", "--layers", 3, "--heads", 2, "--dim", 4, "--dk", 3,
+            "--vocab", 9, "--seed", 70, "--scale", 0.6, "--scaling", "none",
+            "--out", path, "--report", tmp_path / "gen.json",
+        ) == 0
+        config, weights, _ = load_model(path)
+        w_sink, w_recent, steps = 1, 4, 5
+        seq = [int(t) for t in np.random.default_rng(71).integers(0, 9, size=12)]
+        report = tmp_path / "an.json"
+        assert run_cli(
+            "analyze", "--model", path, "--tokens", ",".join(map(str, seq)),
+            "--w-last-sweep", 2, "--w-sink", w_sink, "--w-recent", w_recent,
+            "--max-new", steps, "--report", report,
+        ) == 0
+        masses = read_json(report)["decode_step_kept_mass"]
+        assert len(masses) == steps
+        for step in range(steps):
+            # analyze decodes greedily; all-full decode logits are the plain model's
+            seq.append(int(np.argmax(forward_full(seq, weights, config).logits[-1])))
+            trace = forward_full(seq, weights, config)
+            kept = kept_positions_for(len(seq), w_sink, w_recent)
+            for layer in range(config.n_layers):
+                x_norm = ln(trace.xs[layer], config.ln_mode)
+                expect = []
+                for h in range(config.n_heads):
+                    s = (x_norm[-1] @ weights.w_q[layer, h]) @ (x_norm @ weights.w_k[layer, h]).T
+                    e = np.exp(s - s.max())
+                    expect.append((e / e.sum())[kept].sum())
+                assert masses[step][layer] == pytest.approx(float(np.mean(expect)), abs=1e-10)
+
+    def test_every_cache_stays_full_through_decode(self, tmp_path, model_path, monkeypatch):
+        # the kept masses read the newest row of each cache; a 1 + 4 window
+        # would have dropped rows of these 16 positions
+        sessions = []
+
+        class Recorded(lazykv.engine.Session):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sessions.append(self)
+
+        monkeypatch.setattr(lazykv.engine, "Session", Recorded)
+        assert run_cli(
+            "analyze", "--model", model_path, "--tokens", "1,2,3,4,5,6,7,8,9,10",
+            "--w-sink", 1, "--w-recent", 4, "--max-new", 6, "--p-layers", 0,
+            "--report", tmp_path / "an.json",
+        ) == 0
+        (session,) = sessions
+        for cache in session.caches:
+            assert cache.policy.kind == "full"
+            assert np.array_equal(cache.held()[2], np.arange(16))
+
+    @pytest.mark.parametrize("p_layers, n_lazy", [(0, 3), (1, 2), (3, 0), (4, 0)])
+    def test_step_lazy_sets_hold_layers_minus_p(self, tmp_path, model_path, p_layers, n_lazy):
+        # P above the 3-layer stack leaves no layer lazy, as make-policy does
+        report = tmp_path / "an.json"
+        assert run_cli(
+            "analyze", "--model", model_path, "--tokens", "1,2,3,4,5,6,7,8,9,10",
+            "--w-sink", 1, "--w-recent", 4, "--max-new", 4, "--p-layers", p_layers,
+            "--report", report,
+        ) == 0
+        data = read_json(report)
+        for masses, lazy in zip(data["decode_step_kept_mass"], data["decode_step_lazy_sets"]):
+            laziest = sorted(range(3), key=lambda i: (-masses[i], -i))[:n_lazy]
+            assert lazy == sorted(laziest)
+
 
 class TestBench:
     def test_tiny_bench_schema(self, tmp_path, model_path):
@@ -412,10 +483,12 @@ class TestFlagBoundary:
             ["bench", "--lengths", "-3"],
             ["analyze", "--tokens", "1,2,3", "--w-last-sweep", ","],
             ["analyze", "--tokens", "1,2,3", "--max-new", -1],
+            ["analyze", "--tokens", "1,2,3", "--p-layers", -1],
             ["make-policy", "--strategy", "manual", "--layers", "0,z", "--out", "p.json"],
         ],
         ids=["bench-lengths-text", "bench-repeats-0", "bench-max-new-0",
              "bench-lengths-negative", "analyze-empty-sweep", "analyze-max-new-negative",
+             "analyze-p-layers-negative",
              "make-policy-layers-text"],
     )
     def test_model_commands(self, tmp_path, model_path, capsys, argv):

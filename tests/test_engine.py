@@ -418,7 +418,7 @@ class TestCacheBytes:
         session = Session(weights, config, EngineParams(detect=detect))
         session.generate_greedy(random_prompt(np.random.default_rng(35), config, 12), 4)
         report = session.run_report()
-        assert report["peak_rows"] == session.meter.peak_total > 0
+        assert report["peak_rows"] == session.peak_rows > 0
         row = (config.n_heads * config.d_head + config.d_model) * 8
         assert report["peak_kv_bytes"] == report["peak_rows"] * row
 
@@ -529,71 +529,40 @@ def test_static_replay_of_random_online_runs_is_bitwise(case):
         assert np.array_equal(static.decode_step(t), expect)
 
 
-class TestMassProbe:
-    def test_decode_masses_match_forward_trace_oracle(self):
-        config, weights = make_model(70, n_layers=3, logit_scaling="none")
-        w_sink, w_recent = 1, 4
-        detect = DetectParams(w_last=2, w_sink=w_sink, w_recent=w_recent,
-                              n_full=config.n_layers)
-        session = Session(weights, config, EngineParams(detect=detect))
-        session.mass_probe = (w_sink, w_recent)
-        rng = np.random.default_rng(71)
-        prompt = random_prompt(rng, config, 12)
-        session.prefill(prompt)
-        seq = list(prompt)
-        for step in range(5):
-            t = int(rng.integers(0, config.vocab_size))
-            session.decode_step(t)
-            seq.append(t)
-            pos = len(seq) - 1
-            kept = kept_positions_for(pos + 1, w_sink, w_recent)
-            trace = forward_full(seq, weights, config)
-            for layer in range(config.n_layers):
-                x_norm = ln(trace.xs[layer], config.ln_mode)
-                masses = []
-                for h in range(config.n_heads):
-                    q = x_norm[-1] @ weights.w_q[layer, h]
-                    k = x_norm @ weights.w_k[layer, h]
-                    s = q @ k.T
-                    e = np.exp(s - s.max())
-                    masses.append((e / e.sum())[kept].sum())
-                assert session.mass_trace[step][layer] == pytest.approx(
-                    float(np.mean(masses)), abs=1e-10
-                )
+class TestRowCounts:
+    """``peak_rows`` and ``rows_per_layer`` read the caches' own sizes."""
 
-    def test_decode_masses_follow_the_ring_on_lazy_layers(self):
-        # 12 prompt rows and 10 steps wrap the 1 + 4 ring twice on the lazy
-        # layers; the probe's own window (1 + 2) is a strict subset of it.
-        config, weights = make_model(72, n_layers=3, logit_scaling="none")
-        w_sink, w_recent = 1, 4
-        detect = DetectParams(w_last=2, w_sink=w_sink, w_recent=w_recent, n_full=1)
-        session = Session(weights, config, EngineParams(detect=detect))
-        session.mass_probe = (1, 2)
-        rng = np.random.default_rng(73)
-        prompt = random_prompt(rng, config, 12)
-        session.prefill(prompt)
-        lazy = session.report.lazy_layers
-        assert lazy
-        seq = list(prompt)
-        for step in range(10):
-            t = int(rng.integers(0, config.vocab_size))
-            session.decode_step(t)
-            seq.append(t)
-            allowed = hybrid_allowed_sets(len(seq), prompt.size, lazy, config, w_sink, w_recent)
-            target = kept_positions_for(len(seq), 1, 2)
-            x = weights.embedding[np.asarray(seq)]
-            for layer in range(config.n_layers):
-                x_norm = ln(x, config.ln_mode)
-                held = allowed[layer][-1]
-                masses = []
-                for h in range(config.n_heads):
-                    s = (x_norm[-1] @ weights.w_q[layer, h]) @ (x_norm[held] @ weights.w_k[layer, h]).T
-                    e = np.exp(s - s.max())
-                    masses.append((e / e.sum())[np.isin(held, target)].sum())
-                assert session.mass_trace[step][layer] == pytest.approx(
-                    float(np.mean(masses)), abs=1e-10
-                )
-                x = masked_block_forward(x, layer, weights, MaskSpec.lazy_set(allowed[layer]), config)
+    def test_zeros_before_any_append(self):
+        config, weights = make_model(74)
+        session = Session(weights, config, EngineParams())
+        assert session.peak_rows == 0
+        assert session.run_report()["rows_per_layer"] == [0, 0]
+
+    def test_single_full_layer(self):
+        config, weights = make_model(75, n_layers=1)
+        session = Session(weights, config, baseline_params(DetectParams()))
+        session.prefill(random_prompt(np.random.default_rng(76), config, 100))
+        assert session.peak_rows == 100
+        assert session.run_report()["rows_per_layer"] == [100]
+
+    def test_mixed_policies_match_hand_count(self):
+        # a full and a streaming (1 + 4) layer over 30 positions: a one-token
+        # prompt, then 29 decode steps
+        config, weights = make_model(77)
+        policy = PolicyFile(fingerprint="", lazy_layers=[1], w_sink=1, w_recent=4,
+                            provenance="manual")
+        session = Session(weights, config, EngineParams(policy=policy))
+        rng = np.random.default_rng(78)
+        session.prefill(random_prompt(rng, config, 1))
+        peak = 2
+        for t in range(1, 30):
+            session.decode_step(int(rng.integers(config.vocab_size)))
+            sizes = [c.size for c in session.caches]
+            assert sizes == [t + 1, min(t + 1, 5)]
+            peak = max(peak, sum(sizes))
+            assert session.peak_rows == peak
+            assert session.run_report()["rows_per_layer"] == sizes
+        assert session.peak_rows == 30 + 5
 
 
 class TestPolicies:

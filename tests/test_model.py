@@ -15,14 +15,17 @@ from lazykv.model import (
     ACTIVATIONS,
     RMS_EPS,
     ModelConfig,
+    _causal_attention,
     block_forward,
     ffn_forward,
     forward_full,
     ln,
     load_model,
     mha_forward,
+    mha_from_projections,
     model_fingerprint,
     param_norm_bound,
+    project_qkv,
     random_init,
     save_model,
 )
@@ -175,6 +178,23 @@ class TestMha:
         assert x.shape[0] > _PREFILL_BLOCK
         out = mha_forward(x, weights, 1, config)
         assert np.allclose(out, explicit_mha_oracle(x, weights, 1, config), atol=1e-10, rtol=0)
+
+    def test_only_the_tiled_branch_returns_an_lse(self):
+        # prefill reads detection's lse from this one call: the kernel's rows
+        # bit for bit above the block, none on the per-head path at it
+        config = small_config(logit_scaling="inv_sqrt_dk")
+        weights = random_init(config, 13, 0.8)
+        rng = np.random.default_rng(13)
+        for n in (_PREFILL_BLOCK, _PREFILL_BLOCK + 1):
+            x = ln(rng.standard_normal((n, config.d_model)), config.ln_mode)
+            q, k = project_qkv(x, weights, 0)
+            args = (q, k, x, weights.w_v[0], config.score_scale)
+            out, lse = mha_from_projections(*args)
+            if n == _PREFILL_BLOCK:
+                assert lse is None
+            else:
+                expect_out, expect_lse = _causal_attention(*args)
+                assert np.array_equal(out, expect_out) and np.array_equal(lse, expect_lse)
 
     def test_tiled_causal_branch_forms_no_per_head_rows(self):
         # the kernel weights the shared input rows and applies W_V after the
