@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-import time
 
 
 def _cap_threads(default=None) -> None:
@@ -127,7 +126,16 @@ def _add_window_flags(p: argparse.ArgumentParser) -> None:
 # -- commands ------------------------------------------------------------------
 
 
+def _memory_bytes():
+    """Physical memory in bytes, or infinity where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def cmd_gen_model(args) -> int:
+    from .errors import InputError
     from .model import ModelConfig, model_fingerprint, random_init, save_model
 
     config = ModelConfig(
@@ -140,6 +148,8 @@ def cmd_gen_model(args) -> int:
         ln_mode=args.ln,
         logit_scaling=args.scaling,
     )
+    if config.weight_bytes > _memory_bytes():
+        raise InputError(f"a model of {config.weight_bytes} bytes does not fit in memory")
     weights = random_init(config, args.seed, args.scale)
     save_model(args.out, config, weights, seed=args.seed)
     _emit(
@@ -197,35 +207,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _timed_generation(weights, config, params, tokens, max_new, warmup=2):
-    from .engine import Session
-
-    import numpy as np
-
-    session = Session(weights, config, params)
-    t0 = time.perf_counter()
-    session.prefill(tokens)
-    prefill_s = time.perf_counter() - t0
-    next_id = 0
-    for _ in range(max_new):
-        logits = session.decode_step(next_id)
-        next_id = int(np.argmax(logits))
-    steps = session.decode_seconds[warmup:] or session.decode_seconds
-    step_s = float(np.median(steps))
-    return {
-        "prefill_s": prefill_s,
-        "decode_step_s": step_s,
-        "decode_tokens_per_s": 1.0 / step_s if step_s > 0 else float("inf"),
-        "peak_rows": session.peak_rows,
-        "peak_kv_bytes": session.peak_kv_bytes,
-        "rows_after_prefill_and_decode": sum(c.size for c in session.caches),
-    }
-
-
 def cmd_bench(args) -> int:
     import numpy as np
 
-    from .engine import EngineParams, baseline_params, identification_overhead
+    from .bench import compare
     from .errors import InputError, check_seed
     from .model import load_model
 
@@ -240,39 +225,8 @@ def cmd_bench(args) -> int:
     prompts = {
         n: rng.integers(0, config.vocab_size, size=n) for n in lengths
     }
-    results = {}
-    for n in lengths:
-        hybrid_runs, full_runs = [], []
-        for _ in range(args.repeats):
-            hybrid_runs.append(
-                _timed_generation(
-                    weights, config, EngineParams(detect=detect), prompts[n], args.max_new
-                )
-            )
-            full_runs.append(
-                _timed_generation(
-                    weights, config, baseline_params(detect), prompts[n], args.max_new
-                )
-            )
-        med = lambda runs, key: float(np.median([r[key] for r in runs]))
-        results[str(n)] = {
-            "hybrid": {k: med(hybrid_runs, k) for k in hybrid_runs[0]},
-            "full_baseline": {k: med(full_runs, k) for k in full_runs[0]},
-            "decode_throughput_ratio": med(hybrid_runs, "decode_tokens_per_s")
-            / med(full_runs, "decode_tokens_per_s"),
-        }
-    overhead = identification_overhead(
-        weights, config, prompts, detect, repeats=args.repeats
-    )
-    _emit(
-        {
-            "lengths": lengths,
-            "p_layers": detect.n_full,
-            "results": results,
-            "identification_overhead": {str(k): v for k, v in overhead.items()},
-        },
-        args.report,
-    )
+    report = compare(weights, config, prompts, detect, args.repeats, args.max_new)
+    _emit({"lengths": lengths, "p_layers": detect.n_full, **report}, args.report)
     return 0
 
 
@@ -305,10 +259,13 @@ def cmd_analyze(args) -> int:
     import numpy as np
 
     from .engine import EngineParams, Session
+    from .errors import InputError
     from .lazydetect import DetectParams, lse_log_ratios
     from .model import load_model
     from .numerics import attend
 
+    if args.max_new < 0:
+        raise InputError(f"--max-new must be >= 0, got {args.max_new}")
     config, weights, _ = load_model(args.model)
     tokens = _parse_tokens(args.tokens)
     sweep = sorted(set(_parse_int_list(args.w_last_sweep, "--w-last-sweep", minimum=1)))
@@ -320,8 +277,7 @@ def cmd_analyze(args) -> int:
         w_recent=args.w_recent,
         n_full=L,  # observe only: every cache stays full, in position order
     )
-    params = EngineParams(detect=detect, max_new_tokens=args.max_new)  # refuses < 0
-    session = Session(weights, config, params)
+    session = Session(weights, config, EngineParams(detect=detect))
     logits, report = session.prefill(tokens)
 
     ratios_by_w = {}
@@ -417,8 +373,16 @@ def cmd_make_policy(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad flags are bad input: one ``error:`` line and exit 1, no usage
+    block. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lazykv",
         description="Hybrid full/streaming-attention transformer inference",
     )

@@ -33,11 +33,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ContractViolation, InputError, check_seed
+from .errors import INT64_MAX, ContractViolation, InputError, check_seed
 from .kvcache import CachePolicy, LayerCache, attend_from_cache
 from .lazydetect import DetectParams, IdentifierState, LazyRatioReport, lse_log_ratios
 from .model import ModelConfig, Weights, ffn_forward, ln, mha_from_projections, project_qkv
@@ -49,8 +49,6 @@ __all__ = [
     "Session",
     "make_policy",
     "pyramid_windows",
-    "baseline_params",
-    "identification_overhead",
 ]
 
 
@@ -119,16 +117,16 @@ class PolicyFile:
             if not isinstance(raw[name], str):
                 raise InputError(f"{source}: {name} must be a string")
         for name, low in (("w_sink", 0), ("w_recent", 1)):
-            if not _is_int(raw[name]) or raw[name] < low:
-                raise InputError(f"{source}: {name} must be an integer >= {low}")
+            if not _is_int(raw[name]) or not low <= raw[name] <= INT64_MAX:
+                raise InputError(f"{source}: {name} must be an integer in [{low}, 2**63 - 1]")
         lazy_layers = int_list("lazy_layers")
         if len(set(lazy_layers)) != len(lazy_layers):
             raise InputError(f"{source}: lazy_layers contains duplicates")
         recent_windows = None
         if raw.get("recent_windows") is not None:
             recent_windows = int_list("recent_windows")
-            if any(w < 1 for w in recent_windows):
-                raise InputError(f"{source}: recent_windows must all be >= 1")
+            if any(not 1 <= w <= INT64_MAX for w in recent_windows):
+                raise InputError(f"{source}: recent_windows must all be in [1, 2**63 - 1]")
         seed = raw.get("seed")
         if seed is not None and not _is_int(seed):
             raise InputError(f"{source}: seed must be an integer")
@@ -152,11 +150,6 @@ class PolicyFile:
 class EngineParams:
     detect: DetectParams = field(default_factory=DetectParams)
     policy: Optional[PolicyFile] = None  # None selects online identification
-    max_new_tokens: int = 0
-
-    def __post_init__(self):
-        if self.max_new_tokens < 0:
-            raise InputError("max_new_tokens must be >= 0")
 
 
 class Session:
@@ -186,7 +179,6 @@ class Session:
             else None
         )
         self.prefilled = False
-        self.tokens: List[int] = []
         self.generated: List[int] = []
         self.report: Optional[LazyRatioReport] = None
         self.peak_rows = 0  # running peak of held rows over all layers
@@ -249,13 +241,11 @@ class Session:
                     self.caches[popped].transfer_to_streaming(
                         detect.w_sink, detect.w_recent
                     )
-                self._observe()
             elif layer in self.params.policy.lazy_layers:
                 pol = self.params.policy
                 self.caches[layer].transfer_to_streaming(
                     pol.w_sink, pol.window_for(layer)
                 )
-                self._observe()
             x = x + attn
             x = x + ffn_forward(ln(x, cfg.ln_mode), self.weights, layer, cfg)
 
@@ -269,12 +259,8 @@ class Session:
             log_ratios=log_ratios,
             lazy_layers=lazy_layers,
             full_layers=full_layers,
-            w_last=detect.w_last,
-            w_sink=detect.w_sink,
-            w_recent=detect.w_recent,
         )
         self.prefilled = True
-        self.tokens = [int(t) for t in tokens]
         # The plain forward pass's matrix-matrix unembedding, so the row is
         # bit-identical to forward_full's; copied, so it pins no (n, vocab) block.
         logits = (x @ self.weights.unembed)[-1].copy()
@@ -300,15 +286,12 @@ class Session:
             x = x + attend_from_cache(cache, q, self.weights.w_v[layer], cfg)
             x = x + ffn_forward(ln(x, cfg.ln_mode), self.weights, layer, cfg)
         self._observe()
-        self.tokens.append(token)
         logits = (x @ self.weights.unembed)[0]
         self.decode_seconds.append(time.perf_counter() - t0)
         return logits
 
-    def generate_greedy(self, prompt_tokens, max_new_tokens: Optional[int] = None) -> List[int]:
+    def generate_greedy(self, prompt_tokens, max_new_tokens: int) -> List[int]:
         """Greedy continuation; argmax ties resolve to the smallest token id."""
-        if max_new_tokens is None:
-            max_new_tokens = self.params.max_new_tokens
         if max_new_tokens < 0:
             raise InputError("max_new_tokens must be >= 0")
         logits, _ = self.prefill(prompt_tokens)
@@ -329,11 +312,11 @@ class Session:
         return self.peak_rows * row
 
     def run_report(self) -> dict:
-        rep = self.report.to_dict() if self.report is not None else {}
+        rep = self.report
         decode_ms = [s * 1e3 for s in self.decode_seconds]
         return {
-            "lazy_layers": rep.get("lazy_layers", []),
-            "per_layer_ratios": rep.get("ratios", []),
+            "lazy_layers": list(rep.lazy_layers) if rep else [],
+            "per_layer_ratios": list(rep.ratios) if rep else [],
             "peak_rows": self.peak_rows,
             "peak_kv_bytes": self.peak_kv_bytes,
             "peak_full_caches": self.peak_full_caches,
@@ -443,71 +426,3 @@ def make_policy(
             provenance="manual",
         )
     raise InputError(f"unknown policy strategy {strategy!r}")
-
-
-# -- identification overhead ---------------------------------------------------
-
-
-def baseline_params(detect: DetectParams) -> EngineParams:
-    """Engine params for the all-full-attention baseline (no detection)."""
-    baseline = PolicyFile(
-        fingerprint="", lazy_layers=[], w_sink=detect.w_sink,
-        w_recent=detect.w_recent, provenance="manual",
-    )
-    return EngineParams(detect=detect, policy=baseline)
-
-
-def identification_overhead(
-    weights: Weights,
-    config: ModelConfig,
-    prompts: Dict[int, np.ndarray],
-    detect: DetectParams,
-    repeats: int = 3,
-    warmup: int = 1,
-    min_span_seconds: float = 0.5,
-) -> dict:
-    """Prefill wall-clock with online detection vs. without, per length.
-
-    Per length, ``warmup`` untimed pairs run first (cold allocator and code
-    paths would otherwise penalize whichever variant runs first). Timing
-    then goes in blocks of two back-to-back pairs, (without, with) and then
-    (with, without). A fixed order biases the ratio by the position in the
-    pair: on the criterion-8 model at 1024 tokens, detection measured +4%
-    when it ran first and -7% when it ran second. Short prefills run
-    enough blocks to span at least ``min_span_seconds`` per variant and
-    repeat. Sessions are built outside the timed spans. The ratio is the
-    median of the per-block ratios: a block executes back to back and
-    shares machine conditions, so polluted blocks drop out.
-    """
-    variants = (baseline_params(detect), EngineParams(detect=detect))
-    results = {}
-    for length in sorted(prompts):
-        tokens = prompts[length]
-        est = None
-        for _ in range(max(warmup, 1)):
-            Session(weights, config, variants[0]).prefill(tokens)
-            s = Session(weights, config, variants[1])
-            t0 = time.perf_counter()
-            s.prefill(tokens)
-            est = time.perf_counter() - t0
-        inner = max(1, min(32, int(np.ceil(min_span_seconds / max(2 * est, 1e-9)))))
-
-        # times[v] holds variant v's runs, two per block; v = 1 detects.
-        times: Tuple[List[float], List[float]] = ([], [])
-        for _ in range(repeats * inner):
-            for v in (0, 1, 1, 0):
-                s = Session(weights, config, variants[v])
-                t0 = time.perf_counter()
-                s.prefill(tokens)
-                times[v].append(time.perf_counter() - t0)
-        without, with_det = np.asarray(times[0]), np.asarray(times[1])
-        blocks = with_det.reshape(-1, 2).sum(axis=1) / without.reshape(-1, 2).sum(axis=1)
-        ratio = float(np.median(blocks))
-        results[length] = {
-            "prefill_s_with_detection": float(np.median(with_det)),
-            "prefill_s_without_detection": float(np.median(without)),
-            "pairs": len(without),
-            "ratio": ratio,
-            "relative_slowdown": ratio - 1.0,
-        }
-    return results

@@ -5,6 +5,10 @@ violated internal contracts / failed verification (exit 2).
 """
 
 
+# Windows and positions are int64 in numpy; larger values cannot be compared.
+INT64_MAX = 2**63 - 1
+
+
 class InputError(ValueError):
     """Caller-supplied data is unusable (bad token ids, empty corpus, ...)."""
 

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractViolation, InputError
+from .errors import INT64_MAX, ContractViolation, InputError
 from .kvcache import kept_positions_for
 from .numerics import attend
 
@@ -47,14 +47,12 @@ class DetectParams:
     n_full: int = 0  # layers that keep full attention
 
     def __post_init__(self):
-        if self.w_last < 1:
-            raise InputError("w_last must be >= 1")
-        if self.w_sink < 0:
-            raise InputError("w_sink must be >= 0")
-        if self.w_recent < 1:
-            raise InputError("w_recent must be >= 1")
-        if self.n_full < 0:
-            raise InputError("n_full must be >= 0")
+        for name, low in (("w_last", 1), ("w_sink", 0), ("w_recent", 1), ("n_full", 0)):
+            if getattr(self, name) < low:
+                raise InputError(f"{name} must be >= {low}")
+        for name in ("w_sink", "w_recent"):
+            if getattr(self, name) > INT64_MAX:
+                raise InputError(f"{name} must be <= 2**63 - 1")
 
 
 def lse_log_ratios(
@@ -141,17 +139,3 @@ class LazyRatioReport:
     log_ratios: List[np.ndarray] = field(default_factory=list)  # (H, w_last) per layer
     lazy_layers: List[int] = field(default_factory=list)
     full_layers: List[int] = field(default_factory=list)
-    w_last: int = 0
-    w_sink: int = 0
-    w_recent: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "ratios": [float(r) for r in self.ratios],
-            "per_head_log_ratios": [np.asarray(lr).tolist() for lr in self.log_ratios],
-            "lazy_layers": list(self.lazy_layers),
-            "full_layers": list(self.full_layers),
-            "w_last": self.w_last,
-            "w_sink": self.w_sink,
-            "w_recent": self.w_recent,
-        }

@@ -113,6 +113,12 @@ class ModelConfig:
         return ACTIVATIONS[self.activation]
 
     @property
+    def weight_bytes(self) -> int:
+        """Bytes of the float64 weights, in memory and in a model file's blob."""
+        L, H, d, dk, v = self.n_layers, self.n_heads, self.d_model, self.d_head, self.vocab_size
+        return (v * d + L * (H * (2 * d * dk + d * d) + 2 * d * d) + d * v) * 8
+
+    @property
     def score_scale(self) -> float:
         if self.logit_scaling == "inv_sqrt_dk":
             return 1.0 / math.sqrt(self.d_head)
@@ -424,7 +430,7 @@ def load_model(path) -> Tuple[ModelConfig, Weights, Optional[int]]:
         config.d_head,
         config.vocab_size,
     )
-    expected = (v * d + L * (H * (2 * d * dk + d * d) + 2 * d * d) + d * v) * 8
+    expected = config.weight_bytes
     if len(blob) != expected:
         raise InputError(
             f"model blob is {len(blob)} bytes, expected exactly {expected}"

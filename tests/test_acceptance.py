@@ -15,12 +15,8 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from lazykv.engine import (
-    EngineParams,
-    PolicyFile,
-    Session,
-    identification_overhead,
-)
+from lazykv.bench import compare
+from lazykv.engine import EngineParams, PolicyFile, Session
 from lazykv.kvcache import CachePolicy, LayerCache
 from lazykv.lazydetect import DetectParams, IdentifierState
 from lazykv.model import ModelConfig, forward_full, random_init
@@ -233,7 +229,8 @@ BENCH_LENGTHS = (1024, 2048, 4096, 8192)
 
 def _decode_step_seconds(weights, config, configs_lazy, prompts, detect,
                          bursts=32, steps=25, warmup=6):
-    """Per (config, length): min over interleaved bursts of the median step time.
+    """Per (config, length): min over interleaved bursts of the median step's
+    CPU time in this thread.
 
     Bursts of every cache configuration at every prompt length alternate,
     so any noisy scheduling window degrades all of them alike and a slow
@@ -241,7 +238,8 @@ def _decode_step_seconds(weights, config, configs_lazy, prompts, detect,
     bursts are many and short so that each session is sampled at many
     moments: a loaded host runs slow (by about 1.5x) for stretches long
     enough to cover a few long bursts of one session. The min then picks
-    each session's cleanest burst.
+    each session's cleanest burst. Thread CPU time leaves out the spells
+    in which a shared host runs another process instead of this one.
     """
     sessions = {}
     for n, prompt in prompts.items():
@@ -260,11 +258,14 @@ def _decode_step_seconds(weights, config, configs_lazy, prompts, detect,
     with quiet_gc():
         for _ in range(bursts):
             for key, s in sessions.items():
-                s.decode_seconds.clear()
+                burst = []
                 tok = 1
                 for _ in range(steps):
-                    tok = int(np.argmax(s.decode_step(tok)))
-                medians[key].append(float(np.median(s.decode_seconds)))
+                    t0 = time.thread_time()
+                    logits = s.decode_step(tok)
+                    burst.append(time.thread_time() - t0)
+                    tok = int(np.argmax(logits))
+                medians[key].append(float(np.median(burst)))
     return {key: min(vals) for key, vals in medians.items()}
 
 
@@ -355,10 +356,8 @@ def test_criterion_08_identification_overhead():
     lengths = (512, 1024, 2048, 4096, 8192)
     prompts = {n: rng.integers(0, config.vocab_size, size=n) for n in lengths}
     with quiet_gc():
-        results = identification_overhead(
-            weights, config, prompts, detect, repeats=4, warmup=1
-        )
-    slow = [results[n]["relative_slowdown"] for n in lengths]
+        results = compare(weights, config, prompts, detect, repeats=4)
+    slow = [results["identification_overhead"][str(n)]["relative_slowdown"] for n in lengths]
     assert slow[lengths.index(4096)] <= 0.10, f"4K slowdown {slow}"
     non_increasing = sum(
         1 for a, b in zip(slow, slow[1:]) if b <= a + 0.002

@@ -75,6 +75,23 @@ class TestGenModel:
             forward_full(tokens, weights2, config2).logits,
         )
 
+    def test_unallocatable_model_is_one_line_input_error(self, tmp_path, capsys):
+        # about 2.4e21 bytes: refused before any weight is drawn
+        L = H = d = dk = v = 10**5
+        out = tmp_path / "m"
+        assert run_cli(
+            "gen-model", "--layers", L, "--heads", H, "--dim", d, "--dk", dk,
+            "--vocab", v, "--out", out,
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str((2 * v * d + L * (H * (2 * d * dk + d * d) + 2 * d * d)) * 8) in err
+        assert not out.exists()
+
+    def test_weight_bytes_is_the_blob_size(self, model_path):
+        config, _, _ = load_model(model_path)
+        assert len(model_path.read_bytes().split(b"\n", 1)[1]) == config.weight_bytes
+
 
 class TestRun:
     def test_p_equals_layers_reports_no_lazy(self, tmp_path, model_path):
@@ -208,6 +225,16 @@ class TestPolicyBoundary:
         text = json.dumps(dict(GOOD_POLICY, recent_windows=[4, 4]))
         rc, err = self.run_policy(tmp_path, model_path, capsys, text)
         assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("w_sink", 2**63), ("w_recent", 2**63), ("recent_windows", [4, 2**63, 4])],
+    )
+    def test_windows_past_int64(self, tmp_path, model_path, capsys, field, value):
+        text = json.dumps(dict(GOOD_POLICY, **{field: value}))
+        rc, err = self.run_policy(tmp_path, model_path, capsys, text)
+        assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+        assert "2**63 - 1" in err
 
 
 class TestModelHeader:
@@ -517,6 +544,42 @@ class TestFlagBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["run", "analyze", "bench", "make-policy"])
+    @pytest.mark.parametrize("flag", ["--w-sink", "--w-recent"])
+    def test_windows_past_int64(self, tmp_path, model_path, capsys, command, flag):
+        capsys.readouterr()
+        argv = [command, "--model", model_path, flag, 10**23]
+        if command in ("run", "analyze"):
+            argv += ["--tokens", "1,2,3"]
+        if command == "make-policy":
+            argv += ["--strategy", "pyramid", "--out", tmp_path / "p.json"]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "2**63 - 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--model", "m", "--tokens", "1", "--max-new", "abc"],
+         ["run", "--model", "m", "--tokens", "1", "--no-such-flag"],
+         ["run", "--tokens", "1"],
+         ["gen-model", "--layers"]],
+        ids=["type-error", "unknown-flag", "missing-flag", "missing-value"],
+    )
+    def test_argument_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code in (0, None)
+        assert "usage:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lazykv.bench import baseline_params
 from lazykv.engine import (
     EngineParams,
     PolicyFile,
     Session,
-    baseline_params,
-    identification_overhead,
     make_policy,
     pyramid_windows,
 )
@@ -626,30 +625,3 @@ class TestPolicies:
         assert policy.lazy_layers == [0, 1, 2, 3]
         assert policy.recent_windows == pyramid_windows(4, 8)
         assert policy.window_for(0) == policy.recent_windows[0]
-
-
-class TestOverheadHarness:
-    def test_report_shape_and_sanity(self):
-        config, weights = make_model(44, n_layers=2)
-        detect = DetectParams(w_last=4, w_sink=1, w_recent=8, n_full=1)
-        rng = np.random.default_rng(45)
-        prompts = {n: random_prompt(rng, config, n) for n in (32, 64)}
-        report = identification_overhead(
-            weights, config, prompts, detect, repeats=2,
-            min_span_seconds=0.05,
-        )
-        assert sorted(report) == [32, 64]
-        for entry in report.values():
-            assert entry["prefill_s_with_detection"] > 0
-            assert entry["prefill_s_without_detection"] > 0
-            assert entry["pairs"] >= 2
-            assert entry["ratio"] > 0
-            assert entry["relative_slowdown"] == pytest.approx(entry["ratio"] - 1.0)
-
-    def test_baseline_params_disable_detection(self):
-        config, weights = make_model(46, n_layers=2)
-        detect = DetectParams(w_last=4, w_sink=1, w_recent=8, n_full=1)
-        session = Session(weights, config, baseline_params(detect))
-        session.prefill(random_prompt(np.random.default_rng(47), config, 16))
-        assert session.report.ratios == []
-        assert all(c.policy.kind == "full" for c in session.caches)
