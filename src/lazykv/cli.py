@@ -483,6 +483,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2

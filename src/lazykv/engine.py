@@ -346,6 +346,11 @@ def pyramid_windows(n_layers: int, budget_per_layer: int) -> List[int]:
     total = n_layers * budget_per_layer
     if n_layers == 1:
         return [total]
+    # The ramp is rescaled in float64, whose integers are exact up to 2**53.
+    if total > 2**53:
+        raise InputError(
+            f"{n_layers} layers times a budget of {budget_per_layer} rows exceeds 2**53"
+        )
     ramp = np.linspace(2.0, 0.5, n_layers)
     scaled = ramp * (total / ramp.sum())
     floors = np.floor(scaled).astype(np.int64)

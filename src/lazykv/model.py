@@ -220,16 +220,25 @@ def _causal_attention(q, k, x_norm, w_v, scale: float):
     diagonal block, weighting the shared rows ``x_norm``, then one ``(t, H *
     d_model) @ (H * d_model, d_value)`` product with W_V. Returns ``(out (n,
     d_value), lse (H, n))``, the lse being the normalizer of every causal row.
+
+    Every tile gets one bound on the layer's scores, |q.k| <= |q| |k|
+    (Cauchy-Schwarz) over the largest norms of each head, inflated by 1e-9
+    against rounding; where it is at most ``numerics.SAFE_SCORE``, ``attend``
+    skips the max shift.
     """
     n_heads, n, _ = q.shape
     w_v = w_v.reshape(n_heads * x_norm.shape[1], -1)
     out = np.empty((n, w_v.shape[1]))
     lse = np.empty((n_heads, n))
     pos = np.arange(n)
+    # Squared row norms by einsum, which forms no (H, n, d_head) temporary.
+    q_sq = np.einsum("hnd,hnd->hn", q, q).max(axis=1)
+    k_sq = np.einsum("hnd,hnd->hn", k, k).max(axis=1)
+    bound = abs(scale) * math.sqrt((q_sq * k_sq).max()) * (1 + 1e-9)
     for r0 in range(0, n, _PREFILL_TILE):
         r1 = min(r0 + _PREFILL_TILE, n)
         rows, lse[:, r0:r1] = attend(
-            q[:, r0:r1], k[:, :r1], scale, pos[r0:r1], pos[:r1], x_norm[:r1]
+            q[:, r0:r1], k[:, :r1], scale, pos[r0:r1], pos[:r1], x_norm[:r1], bound=bound
         )
         out[r0:r1] = rows.transpose(1, 0, 2).reshape(r1 - r0, -1) @ w_v
     return out, lse
@@ -311,8 +320,9 @@ def forward_full(tokens, weights: Weights, config: ModelConfig) -> HiddenTrace:
 
 def random_init(config: ModelConfig, seed: int, scale: float) -> Weights:
     """Reproducible uniform(-scale, scale) weights; scale 0 gives all zeros."""
-    if not (math.isfinite(scale) and scale >= 0):
-        raise InputError(f"scale must be finite and >= 0, got {scale}")
+    # The sampler draws from a range of width 2 * scale, which must be finite.
+    if not (math.isfinite(2 * scale) and scale >= 0):
+        raise InputError(f"scale must be >= 0 and 2 * scale finite, got {scale}")
     rng = np.random.default_rng(check_seed(seed))
     L, H, d, dk, v = (
         config.n_layers,
@@ -448,7 +458,8 @@ def load_model(path) -> Tuple[ModelConfig, Weights, Optional[int]]:
         pos += n
         return out
 
-    embedding = take(v, d)
+    # Copies, so that no weight keeps ``flat`` alive once loading returns.
+    embedding = take(v, d).copy()
     w_q = np.empty((L, H, d, dk))
     w_k = np.empty((L, H, d, dk))
     w_v = np.empty((L, H, d, d))
@@ -461,7 +472,7 @@ def load_model(path) -> Tuple[ModelConfig, Weights, Optional[int]]:
             w_v[layer, h] = take(d, d)
         w_ff1[layer] = take(d, d)
         w_ff2[layer] = take(d, d)
-    unembed = take(d, v)
+    unembed = take(d, v).copy()
     weights = Weights(
         embedding=embedding,
         w_q=w_q,

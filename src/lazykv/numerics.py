@@ -3,8 +3,17 @@
 Matrices are plain ``numpy.ndarray`` objects in float64, row-major (C
 order). Every exported operation is pure and deterministic: same inputs
 give bit-identical outputs. Masked positions are never fed through
-arithmetic as ``-inf``; they are excluded from the max-subtraction pass and
-produced as exact zeros, so no NaNs can leak out of a softmax.
+arithmetic as ``-inf``; they are left out of the row max and produced as
+exact zeros by a mask multiply, so no NaNs can leak out of a softmax.
+
+The shift subtracted before ``exp`` is that row max, or 0 when the caller
+of ``attend`` bounds every score of the call, masked ones included, by
+``SAFE_SCORE`` (300) in magnitude. ``exp`` of such a score is a normal
+float in [5e-131, 2e130], so no masked entry overflows before the multiply
+zeroes it, every visible weight keeps full relative precision, and a row
+of fewer than 2**63 terms sums to a finite value above 0. Skipping the
+shift saves the max and subtract passes over the score block; the prefill
+kernel ``model._causal_attention`` is the only caller that gives a bound.
 
 * ``visible`` is the program's one mask: a predicate on positions (key j
   is seen by query i iff ``k_pos[j] <= q_pos[i]``, optionally narrowed to
@@ -24,12 +33,17 @@ import numpy as np
 from .errors import ContractViolation
 
 __all__ = [
+    "SAFE_SCORE",
     "attend",
     "visible",
     "masked_row_softmax",
     "frobenius_norm",
     "row_2inf_norm",
 ]
+
+
+# Largest score magnitude ``attend`` exponentiates without the max shift.
+SAFE_SCORE = 300.0
 
 
 def _as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -51,7 +65,7 @@ def visible(q_pos, k_pos, keep=None) -> np.ndarray:
     return allowed
 
 
-def _masked_max_and_expsum(scores: np.ndarray, allowed=None, lead: int = 0):
+def _masked_max_and_expsum(scores: np.ndarray, allowed=None, lead: int = 0, shift=True):
     """In place over the last axis of ``scores``: subtract the row max over
     visible entries, exponentiate, zero the masked ones. Returns ``(row_max,
     row sums)``; the sum runs over the whole row, masked zeros included.
@@ -60,15 +74,24 @@ def _masked_max_and_expsum(scores: np.ndarray, allowed=None, lead: int = 0):
     ``allowed`` masks the columns from ``lead`` on and broadcasts against
     them, so one (rows, cols) mask can serve a head-stacked (H, rows, cols)
     score block. Without ``allowed`` every column is visible.
+
+    ``shift=False`` exponentiates the raw scores and returns a row max of
+    0.0; the caller vouches that no score exceeds ``SAFE_SCORE`` in
+    magnitude.
     """
+    if allowed is not None and not lead and not allowed.any(axis=-1).all():
+        bad = int(np.flatnonzero(~allowed.any(axis=-1))[0])
+        raise ContractViolation(f"score row {bad} has no allowed positions")
+    if not shift:
+        np.exp(scores, out=scores)
+        if allowed is not None:
+            scores[..., lead:] *= allowed
+        return 0.0, scores.sum(axis=-1)
     if allowed is None:
         row_max = scores.max(axis=-1)
         scores -= row_max[..., None]
         np.exp(scores, out=scores)
         return row_max, scores.sum(axis=-1)
-    if not lead and not allowed.any(axis=-1).all():
-        bad = int(np.flatnonzero(~allowed.any(axis=-1))[0])
-        raise ContractViolation(f"score row {bad} has no allowed positions")
     tail = scores[..., lead:]
     row_max = tail.max(axis=-1, where=allowed, initial=-np.inf)
     if lead:
@@ -83,7 +106,7 @@ def _masked_max_and_expsum(scores: np.ndarray, allowed=None, lead: int = 0):
     return row_max, scores.sum(axis=-1)
 
 
-def attend(q, k, scale: float, q_pos=None, k_pos=None, v=None, keep=None):
+def attend(q, k, scale: float, q_pos=None, k_pos=None, v=None, keep=None, bound=None):
     """Softmax attention of head-stacked queries ``(H, n_q, d)`` over keys
     ``(H, n_k, d)``, the queries multiplied by ``scale`` before scoring.
 
@@ -97,6 +120,11 @@ def attend(q, k, scale: float, q_pos=None, k_pos=None, v=None, keep=None):
     as one ``(H * n_q, n_k)`` GEMM. Returns ``(out (H, n_q, d_v) or None when
     ``v`` is None, lse (H, n_q))``, the log-sum-exp of every row's visible
     scores.
+
+    ``bound``, if given, is an upper bound on the magnitude of every scaled
+    score of the call, masked ones included. At most ``SAFE_SCORE``, it lets
+    the raw scores be exponentiated, unshifted, so the max and subtract
+    passes are skipped; otherwise every row is shifted by its visible max.
     """
     if q.ndim != 3 or k.ndim != 3 or q.shape[::2] != k.shape[::2] or not k.shape[1]:
         raise ContractViolation(
@@ -110,10 +138,11 @@ def attend(q, k, scale: float, q_pos=None, k_pos=None, v=None, keep=None):
     if scale != 1.0:
         q = q * scale
     scores = np.matmul(q, k.transpose(0, 2, 1))
+    shift = bound is None or not bound <= SAFE_SCORE
     if q_pos is None:
         if keep is not None:
             raise ContractViolation("a retention window needs query positions")
-        row_max, sums = _masked_max_and_expsum(scores)
+        row_max, sums = _masked_max_and_expsum(scores, shift=shift)
     else:
         if q_pos.shape != (n_q,) or k_pos.shape != (n_k,):
             raise ContractViolation(
@@ -125,7 +154,7 @@ def attend(q, k, scale: float, q_pos=None, k_pos=None, v=None, keep=None):
             older = k_pos < q_pos.min()
             lead = n_k if older.all() else int(older.argmin())
         allowed = visible(q_pos, k_pos[lead:], keep)
-        row_max, sums = _masked_max_and_expsum(scores, allowed, lead)
+        row_max, sums = _masked_max_and_expsum(scores, allowed, lead, shift)
     lse = row_max + np.log(sums)
     if v is None:
         return None, lse

@@ -19,6 +19,7 @@ from lazykv.numerics import (
     frobenius_norm,
     masked_row_softmax,
     row_2inf_norm,
+    visible,
 )
 from lazykv.theory import ErrorTrace, _check_window, _require_theory_config, discarded_mass
 
@@ -129,39 +130,64 @@ def lazy_ratio_lse(q_last, keys, lse, params: DetectParams, scale: float = 1.0) 
     return float(np.exp(lse_log_ratios(q_last, keys, lse, params, scale)).mean())
 
 
-def _causal_tile(q, k, x, w_v, scale: float, r0: int):
+def score_bound(q, k, scale: float) -> float:
+    """Cauchy-Schwarz bound on every scaled score of head-stacked q and k:
+    |scale| times the largest, over heads, of the largest query norm times
+    the largest key norm, inflated by 1e-9 against rounding."""
+    per_head = np.linalg.norm(q, axis=2).max(axis=1) * np.linalg.norm(k, axis=2).max(axis=1)
+    return abs(scale) * float(per_head.max()) * (1 + 1e-9)
+
+
+def frozen_attend(q, k, scale: float, q_pos=None, k_pos=None, v=None, keep=None, shifted=True):
+    """The arithmetic of ``numerics.attend``, over one full mask.
+
+    Scores are formed from scaled queries. With ``shifted``, each row loses
+    its max over visible entries, and masked entries are clamped to 0 so
+    that their exp cannot overflow; without, the raw scores are
+    exponentiated and the lse is the log of the sums alone. A mask multiply
+    zeroes masked entries, and the unnormalized weights of all heads go over
+    the shared rows ``v`` as one ``(H * n_q, n_k)`` product, divided by the
+    row sums. ``attend`` masks only the columns after the keys older than
+    every query; masking those too changes no bit, as they are visible to
+    every row, so the clamp and the multiply by 1 leave them as they are.
+    Returns ``(out or None, lse)``.
+    """
+    if scale != 1.0:
+        q = q * scale
+    scores = np.matmul(q, k.transpose(0, 2, 1))
+    allowed = True if q_pos is None else visible(q_pos, k_pos, keep)
+    row_max = 0.0
+    if shifted:
+        row_max = scores.max(axis=2, where=allowed, initial=-np.inf)
+        scores -= row_max[:, :, None]
+        np.minimum(scores, 0.0, out=scores)
+    np.exp(scores, out=scores)
+    scores *= allowed
+    sums = scores.sum(axis=2)
+    lse = row_max + np.log(sums)
+    if v is None:
+        return None, lse
+    n_heads, n_q, n_k = scores.shape
+    out = (scores.reshape(n_heads * n_q, n_k) @ v).reshape(n_heads, n_q, -1)
+    return out / sums[:, :, None], lse
+
+
+def _causal_tile(q, k, x, w_v, scale: float, r0: int, shifted: bool = False):
     """Causal attention for the query rows at positions r0 .. r0+t-1,
     summed over heads.
 
     ``q`` is (H, t, d_head) and ``k`` (H, >= r0+t, d_head); ``x`` holds at
     least the shared input rows of positions 0 .. r0+t-1 and ``w_v`` is the
-    (H, d_model, d_value) value stack. The queries are scaled, not the
-    scores, which are formed only against keys up to the tile's end; only
-    the trailing (t, t) diagonal block needs masking: a masked entry is left
-    out of the max, clamped so its exp cannot overflow, and zeroed by the
-    mask multiply. The unnormalized weights of all heads go over the shared
-    rows as one (H * t, r0 + t) product and are divided by their sums; the
-    heads, side by side, then meet W_V in one product. Returns ``(out (t,
-    d_value), lse (H, t))``.
+    (H, d_model, d_value) value stack. The tile attends, in the arithmetic
+    of ``frozen_attend``, to the keys up to its own end, raw or, with
+    ``shifted`` (the fallback for scores past ``numerics.SAFE_SCORE``),
+    max-shifted. The heads, side by side, then meet W_V in one product.
+    Returns ``(out (t, d_value), lse (H, t))``.
     """
-    n_heads, t, _ = q.shape
+    t = q.shape[1]
     r1 = r0 + t
-    if scale != 1.0:
-        q = q * scale
-    scores = np.matmul(q, k[:, :r1].transpose(0, 2, 1))
-    diag = scores[:, :, r0:]
-    tril = np.tri(t, dtype=bool)
-    row_max = diag.max(axis=2, where=tril, initial=-np.inf)
-    if r0 > 0:
-        np.maximum(row_max, scores[:, :, :r0].max(axis=2), out=row_max)
-    scores -= row_max[:, :, None]
-    np.minimum(diag, 0.0, out=diag)
-    np.exp(scores, out=scores)
-    diag *= tril
-    sums = scores.sum(axis=2)
-    lse = row_max + np.log(sums)
-    weighted = (scores.reshape(n_heads * t, r1) @ x[:r1]).reshape(n_heads, t, -1)
-    weighted /= sums[:, :, None]
+    pos = np.arange(r1)
+    weighted, lse = frozen_attend(q, k[:, :r1], scale, pos[r0:], pos, x[:r1], shifted=shifted)
     # The heads side by side by a transpose, not a concatenation: at d_model
     # 1 the transpose is a strided view, and BLAS sums a strided operand of
     # the W_V product in another order than a contiguous one.

@@ -15,6 +15,23 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def run_cli_process(argv, model_path, out):
+    """The CLI in a separate process, so that a traceback or a warning
+    reaches stderr; ``MODEL`` and ``OUT`` in argv name the given paths."""
+    import os
+    import subprocess
+    import sys
+
+    import lazykv
+
+    argv = [{"MODEL": model_path, "OUT": out}.get(a, a) for a in argv]
+    src = os.path.dirname(os.path.dirname(lazykv.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "lazykv.cli", *map(str, argv)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not standard JSON")
 
@@ -596,23 +613,38 @@ class TestFlagBoundary:
     ids=["gen-model", "bench", "verify-theory", "make-policy"],
 )
 def test_negative_seed_is_one_line_input_error(tmp_path, model_path, argv):
-    # A separate process, so that a traceback would reach stderr.
-    import os
-    import subprocess
-    import sys
-
-    import lazykv
-
     out = tmp_path / "out"
-    argv = [{"MODEL": model_path, "OUT": out}.get(a, a) for a in argv]
-    src = os.path.dirname(os.path.dirname(lazykv.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "lazykv.cli", *map(str, argv)],
-        capture_output=True, text=True, env=env,
-    )
+    done = run_cli_process(argv, model_path, out)
     assert done.returncode == 1
     assert done.stderr.startswith("error: seed must be >= 0")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 1.42 PiB of prompt token ids
+        (["bench", "--model", "MODEL", "--lengths", 2 * 10**14], "error: out of memory"),
+        # the seed-0 trial draws 165,276,355,285,292 tokens: 1.17 PiB of ids
+        (["verify-theory", "--max-tokens", 10**16, "--seed", 0], "error: out of memory"),
+        # the seed-0 trial's embedding table is 2.18 EiB
+        (["verify-theory", "--max-dim", 10**9, "--seed", 0], "error: out of memory"),
+        (["gen-model", "--layers", 1, "--heads", 1, "--dim", 2, "--dk", 2, "--vocab", 2,
+          "--scale", 1e308, "--out", "OUT"], "error: scale"),
+        (["make-policy", "--model", "MODEL", "--strategy", "pyramid",
+          "--w-recent", 2**63 - 1, "--out", "OUT"], "error: 3 layers"),
+    ],
+    ids=["bench-lengths", "verify-max-tokens", "verify-max-dim", "gen-model-scale",
+         "pyramid-past-2**53"],
+)
+def test_unservable_sizes_are_one_line_errors(tmp_path, model_path, argv, message):
+    # Every size here is refused or fails its first allocation at a PiB or
+    # more; none can be allocated.
+    out = tmp_path / "out"
+    done = run_cli_process(argv, model_path, out)
+    assert done.returncode == 1
+    assert done.stderr.startswith(message)
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
     assert not out.exists()
 

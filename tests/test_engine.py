@@ -25,7 +25,7 @@ from lazykv.model import (
     ln,
     random_init,
 )
-from lazykv.numerics import attend, masked_row_softmax
+from lazykv.numerics import SAFE_SCORE, attend, masked_row_softmax
 
 from oracles import (
     MaskSpec,
@@ -33,6 +33,7 @@ from oracles import (
     lazy_ratio_bruteforce,
     masked_block_forward,
     masked_row_logsumexp,
+    score_bound,
 )
 
 
@@ -109,7 +110,9 @@ def causal_kernel_case(draw):
     d_model, d_value = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     scale = draw(st.sampled_from([1.0, 0.5, 1.7]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    spread = draw(st.sampled_from([0.1, 1.0, 4.0]))
+    # At spread 8 most cases bound their scores above SAFE_SCORE, so the
+    # kernel takes the max-shifted fallback; at 0.1 and 1 none do.
+    spread = draw(st.sampled_from([0.1, 1.0, 4.0, 8.0]))
     q = rng.standard_normal((h, n, d_head)) * spread
     k = rng.standard_normal((h, n, d_head)) * spread
     x = rng.standard_normal((n, d_model))
@@ -123,6 +126,7 @@ class TestCausalKernel:
     def test_matches_mask_spec_oracles(self, case):
         q, k, x, w_v, scale = case
         out, lse = _causal_attention(q, k, x, w_v, scale)
+        assert np.isfinite(out).all() and np.isfinite(lse).all()
         causal = MaskSpec.causal()
         expect_out = 0.0
         for h in range(q.shape[0]):
@@ -136,13 +140,14 @@ class TestCausalKernel:
     @given(causal_kernel_case())
     def test_bit_identical_to_the_frozen_tile_oracle(self, case):
         # each tile's attend call and W_V product do the arithmetic of the
-        # frozen tile routine, so prefill keeps its numbers bit for bit
+        # frozen tile routine, raw or, past SAFE_SCORE, max-shifted
         q, k, x, w_v, scale = case
         n = q.shape[1]
         out, lse = _causal_attention(q, k, x, w_v, scale)
+        shifted = score_bound(q, k, scale) > SAFE_SCORE
         for r0 in range(0, n, _PREFILL_TILE):
             r1 = min(r0 + _PREFILL_TILE, n)
-            expect_out, expect_lse = _causal_tile(q[:, r0:r1], k, x, w_v, scale, r0)
+            expect_out, expect_lse = _causal_tile(q[:, r0:r1], k, x, w_v, scale, r0, shifted)
             assert np.array_equal(out[r0:r1], expect_out)
             assert np.array_equal(lse[:, r0:r1], expect_lse)
 
@@ -617,6 +622,13 @@ class TestPolicies:
                 assert all(w >= 1 for w in got)
                 assert got == sorted(got, reverse=True)
                 assert got == oracle(L, budget)
+
+    def test_pyramid_sums_exactly_up_to_2_53(self):
+        # the float64 ramp holds every integer up to 2**53; past it, refused
+        budget = 2**53 // 8
+        assert sum(pyramid_windows(8, budget)) == 2**53
+        with pytest.raises(InputError, match="2\\*\\*53"):
+            pyramid_windows(8, budget + 1)
 
     def test_pyramid_policy_streams_every_layer(self):
         config, _ = make_model(43, n_layers=4)

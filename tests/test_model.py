@@ -373,6 +373,15 @@ class TestModelFile:
         b = forward_full(tokens, weights2, config2)
         assert np.array_equal(a.logits, b.logits)
 
+    def test_loaded_weights_own_their_memory(self, tmp_path):
+        # a view into the loader's float copy of the blob would keep all of
+        # it alive beside the stacked weights
+        config = small_config()
+        path = tmp_path / "m"
+        save_model(path, config, random_init(config, 1, 0.2))
+        _, weights, _ = load_model(path)
+        assert all(m.base is None for m in vars(weights).values())
+
     def test_same_seed_same_bytes(self, tmp_path):
         config = small_config()
         p1, p2 = tmp_path / "a", tmp_path / "b"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lazykv.errors import ContractViolation
 from lazykv.kvcache import kept_positions_for
 from lazykv.numerics import (
+    SAFE_SCORE,
     attend,
     frobenius_norm,
     masked_row_softmax,
@@ -15,7 +16,13 @@ from lazykv.numerics import (
     visible,
 )
 
-from oracles import MaskSpec, masked_row_logsumexp, streaming_allowed_sets
+from oracles import (
+    MaskSpec,
+    frozen_attend,
+    masked_row_logsumexp,
+    score_bound,
+    streaming_allowed_sets,
+)
 
 
 def explicit_masked_softmax(scores, allowed_sets):
@@ -269,15 +276,18 @@ def attend_case(draw):
     v = None
     if with_values:  # rows that all heads share
         v = rng.standard_normal((k_pos.size, draw(st.integers(1, 5))))
-    return q, k, scale, q_pos, k_pos, v, keep
+    # without a bound every row is max-shifted; the true bound lets scores
+    # up to SAFE_SCORE go unshifted
+    bound = score_bound(q, k, scale) if draw(st.booleans()) else None
+    return q, k, scale, q_pos, k_pos, v, keep, bound
 
 
 class TestAttend:
     @settings(max_examples=300, deadline=None)
     @given(attend_case())
     def test_matches_mask_spec_oracles(self, case):
-        q, k, scale, q_pos, k_pos, v, keep = case
-        out, lse = attend(q, k, scale, q_pos, k_pos, v, keep)
+        q, k, scale, q_pos, k_pos, v, keep, bound = case
+        out, lse = attend(q, k, scale, q_pos, k_pos, v, keep, bound)
         sets = []
         for i in range(q.shape[1]):
             seen = np.ones(k_pos.size, dtype=bool)
@@ -296,6 +306,37 @@ class TestAttend:
                 expect = masked_row_softmax(scores, allowed) @ v
                 assert np.allclose(out[h], expect, atol=1e-12, rtol=0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(attend_case())
+    def test_bit_identical_to_the_frozen_arithmetic(self, case):
+        # without a bound, or past SAFE_SCORE, the max-shifted arithmetic
+        *args, bound = case
+        shifted = bound is None or bound > SAFE_SCORE
+        got = attend(*args, bound=bound)
+        expect = frozen_attend(*args, shifted=shifted)
+        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(got, expect))
+
+    @pytest.mark.parametrize(
+        "bound, shifted",
+        [
+            (None, True),
+            (np.nextafter(SAFE_SCORE, 0.0), False),
+            (SAFE_SCORE, False),
+            (np.nextafter(SAFE_SCORE, np.inf), True),
+            (np.nan, True),
+        ],
+    )
+    def test_bound_selects_the_branch(self, bound, shifted):
+        rng = np.random.default_rng(3)
+        q, k = rng.standard_normal((2, 2, 6, 3)) * 3
+        v, pos = rng.standard_normal((6, 4)), np.arange(6)
+        expect = frozen_attend(q, k, 0.5, pos, pos, v, shifted=shifted)
+        other = frozen_attend(q, k, 0.5, pos, pos, v, shifted=not shifted)
+        # the two branches round differently on these scores
+        assert not np.array_equal(expect[1], other[1])
+        got = attend(q, k, 0.5, pos, pos, v, bound=bound)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
     @pytest.mark.parametrize(
         "q_pos, k_pos, keep",
         [
@@ -307,8 +348,9 @@ class TestAttend:
     def test_query_that_sees_no_key_rejected(self, q_pos, k_pos, keep):
         q_pos, k_pos = np.array(q_pos), np.array(k_pos)
         q, k = np.zeros((2, q_pos.size, 3)), np.zeros((2, k_pos.size, 3))
-        with pytest.raises(ContractViolation, match="no allowed positions"):
-            attend(q, k, 1.0, q_pos, k_pos, keep=keep)
+        for bound in (None, 0.0):  # shifted and raw
+            with pytest.raises(ContractViolation, match="no allowed positions"):
+                attend(q, k, 1.0, q_pos, k_pos, keep=keep, bound=bound)
 
     def test_shape_mismatches_rejected(self):
         q, k = np.zeros((2, 1, 3)), np.zeros((2, 4, 3))
