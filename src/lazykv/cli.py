@@ -53,15 +53,12 @@ def _emit(payload: dict, path) -> None:
 def _parse_tokens(spec: str):
     import numpy as np
 
-    from .errors import InputError
+    from .errors import InputError, parse_json
     from .offline import is_token_list
 
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as f:
-            try:
-                data = json.load(f)
-            except ValueError as exc:
-                raise InputError(f"{spec} is not valid JSON: {exc}") from exc
+        with open(spec, "rb") as f:
+            data = parse_json(f.read(), spec)
         if not is_token_list(data):
             raise InputError(f"{spec} must hold a JSON list of integer token ids")
     else:
@@ -181,7 +178,7 @@ def cmd_run(args) -> int:
         fp = model_fingerprint(args.model)
         if policy.fingerprint and policy.fingerprint != fp:
             raise InputError(
-                f"policy {args.policy} was built for model {policy.fingerprint[:12]}..., "
+                f"policy {args.policy} was built for model {policy.fingerprint[:12]!r}..., "
                 f"refusing to run it against {fp[:12]}..."
             )
     session = Session(weights, config, EngineParams(detect=detect, policy=policy))
@@ -473,10 +470,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # Parsing imports no numpy, so the cap still reaches BLAS.
     _cap_threads("1" if args.command == "bench" else None)
+    import numpy as np
+
     from .errors import ContractViolation, InputError
 
     try:
-        return args.func(args)
+        # A float64 overflow or NaN comes from weights too large for the
+        # arithmetic: one error line, not a warning per site and NaN output.
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        print(f"error: {exc}; the model's weights are too large for float64", file=sys.stderr)
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

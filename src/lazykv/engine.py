@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import INT64_MAX, ContractViolation, InputError, check_seed
+from .errors import INT64_MAX, ContractViolation, InputError, check_seed, parse_json
 from .kvcache import CachePolicy, LayerCache, attend_from_cache
 from .lazydetect import DetectParams, IdentifierState, LazyRatioReport, lse_log_ratios
 from .model import ModelConfig, Weights, ffn_forward, ln, mha_from_projections, project_qkv
@@ -90,11 +90,8 @@ class PolicyFile:
 
     @classmethod
     def load(cls, path) -> "PolicyFile":
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                raw = json.load(f)
-            except ValueError as exc:
-                raise InputError(f"policy file {path} is not valid JSON: {exc}") from exc
+        with open(path, "rb") as f:
+            raw = parse_json(f.read(), f"policy file {path}")
         return cls.from_dict(raw, f"policy file {path}")
 
     @classmethod

@@ -26,11 +26,14 @@ There are no positional encodings: all supported properties are
 position-agnostic, and adding them would change none of the contracts here.
 
 Model file format (``save_model``/``load_model``): one UTF-8 JSON header
-line (config fields, seed, byte order, dtype) terminated by ``\\n``,
-followed by a raw little-endian float64 blob of all matrices, row-major, in
-this order: embedding table; then per layer, per head W_Q, W_K, W_V,
-followed by that layer's W_ff1 and W_ff2; finally the unembedding matrix.
-The loader validates the blob length exactly.
+line (format, version 1, the ``ModelConfig`` fields, seed, byte order,
+dtype) terminated by ``\\n``, followed by a raw little-endian float64 blob
+of all matrices, row-major, in this order: embedding table; then per layer,
+per head W_Q, W_K, W_V, followed by that layer's W_ff1 and W_ff2; finally
+the unembedding matrix. ``_blob_views`` is the one statement of that layout:
+save fills its views of the blob and load copies out of them, and
+``ModelConfig.layer_width`` gives one layer's share. The loader validates
+the blob length exactly.
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractViolation, InputError, check_seed
+from .errors import ContractViolation, InputError, check_seed, parse_json
 from .numerics import attend, masked_row_softmax, visible
 
 __all__ = [
@@ -70,10 +73,19 @@ RMS_EPS = 1e-6
 # sup |gelu'(x)| sits at x = sqrt(2); value Phi(sqrt(2)) + sqrt(2)*phi(sqrt(2)),
 # rounded up in the last digit so it stays a valid Lipschitz bound.
 _GELU_LIP = 1.1289041450
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # Below x = -709, exp(-x) overflows to inf and 1 / inf gives the exact
+    # limit 0; that overflow is no error (the CLI raises on the others).
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 _ACT_FNS = {
     "relu": lambda x: np.maximum(x, 0.0),
     "gelu": lambda x: 0.5 * x * (1.0 + _erf(x / math.sqrt(2.0))),
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
+    "sigmoid": _sigmoid,
 }
 ACTIVATIONS = {"relu": 1.0, "gelu": _GELU_LIP, "sigmoid": 0.25}
 
@@ -113,10 +125,15 @@ class ModelConfig:
         return ACTIVATIONS[self.activation]
 
     @property
+    def layer_width(self) -> int:
+        """Floats of one layer's weights: per head W_Q, W_K, W_V, then W_ff1, W_ff2."""
+        d = self.d_model
+        return self.n_heads * (2 * d * self.d_head + d * d) + 2 * d * d
+
+    @property
     def weight_bytes(self) -> int:
         """Bytes of the float64 weights, in memory and in a model file's blob."""
-        L, H, d, dk, v = self.n_layers, self.n_heads, self.d_model, self.d_head, self.vocab_size
-        return (v * d + L * (H * (2 * d * dk + d * d) + 2 * d * d) + d * v) * 8
+        return (2 * self.vocab_size * self.d_model + self.n_layers * self.layer_width) * 8
 
     @property
     def score_scale(self) -> float:
@@ -364,75 +381,10 @@ def param_norm_bound(weights: Weights) -> float:
 _BLOB_DTYPE = np.dtype("<f8")
 
 
-def _blob_matrices(config: ModelConfig, weights: Weights):
-    yield weights.embedding
-    for layer in range(config.n_layers):
-        for h in range(config.n_heads):
-            yield weights.w_q[layer, h]
-            yield weights.w_k[layer, h]
-            yield weights.w_v[layer, h]
-        yield weights.w_ff1[layer]
-        yield weights.w_ff2[layer]
-    yield weights.unembed
-
-
-def save_model(path, config: ModelConfig, weights: Weights, seed: Optional[int] = None) -> None:
-    header = {
-        "format": "lazykv-model",
-        "version": 1,
-        "n_layers": config.n_layers,
-        "n_heads": config.n_heads,
-        "d_model": config.d_model,
-        "d_head": config.d_head,
-        "vocab_size": config.vocab_size,
-        "activation": config.activation,
-        "ln_mode": config.ln_mode,
-        "logit_scaling": config.logit_scaling,
-        "seed": seed,
-        "byte_order": "little-endian",
-        "dtype": "f64",
-    }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
-        for m in _blob_matrices(config, weights):
-            f.write(np.ascontiguousarray(m, dtype=_BLOB_DTYPE).tobytes())
-
-
-# Architecture fields of the model header and the JSON type each must have.
-_HEADER_FIELDS = {
-    "n_layers": int,
-    "n_heads": int,
-    "d_model": int,
-    "d_head": int,
-    "vocab_size": int,
-    "activation": str,
-    "ln_mode": str,
-    "logit_scaling": str,
-}
-
-
-def load_model(path) -> Tuple[ModelConfig, Weights, Optional[int]]:
-    with open(path, "rb") as f:
-        header_line = f.readline()
-        blob = f.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"unreadable model header in {path}: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != "lazykv-model":
-        raise InputError(f"{path} is not a lazykv model file")
-    if header.get("dtype") != "f64" or header.get("byte_order") != "little-endian":
-        raise InputError("unsupported model dtype or byte order")
-    for name, kind in _HEADER_FIELDS.items():
-        if name not in header:
-            raise InputError(f"model header lacks {name!r}")
-        value = header[name]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise InputError(
-                f"model header field {name!r} must be {kind.__name__}, got {value!r}"
-            )
-    config = ModelConfig(**{name: header[name] for name in _HEADER_FIELDS})
+def _blob_views(config: ModelConfig, flat: np.ndarray) -> Weights:
+    """The weight stacks as views of a model file's flat blob, in file order:
+    embedding, an ``(L, layer_width)`` block whose rows hold per head W_Q,
+    W_K, W_V then W_ff1 and W_ff2, and the unembedding."""
     L, H, d, dk, v = (
         config.n_layers,
         config.n_heads,
@@ -440,48 +392,78 @@ def load_model(path) -> Tuple[ModelConfig, Weights, Optional[int]]:
         config.d_head,
         config.vocab_size,
     )
-    expected = config.weight_bytes
-    if len(blob) != expected:
+    head = 2 * d * dk + d * d
+    ff = H * head
+    # Explicit shapes throughout: reshaping with -1 fails on zero layers.
+    layers = flat[v * d : flat.size - d * v].reshape(L, config.layer_width)
+    heads = layers[:, :ff].reshape(L, H, head)
+    return Weights(
+        embedding=flat[: v * d].reshape(v, d),
+        w_q=heads[:, :, : d * dk].reshape(L, H, d, dk),
+        w_k=heads[:, :, d * dk : 2 * d * dk].reshape(L, H, d, dk),
+        w_v=heads[:, :, 2 * d * dk :].reshape(L, H, d, d),
+        w_ff1=layers[:, ff : ff + d * d].reshape(L, d, d),
+        w_ff2=layers[:, ff + d * d :].reshape(L, d, d),
+        unembed=flat[flat.size - d * v :].reshape(d, v),
+    )
+
+
+def save_model(path, config: ModelConfig, weights: Weights, seed: Optional[int] = None) -> None:
+    flat = np.empty(config.weight_bytes // 8, dtype=_BLOB_DTYPE)
+    for name, view in vars(_blob_views(config, flat)).items():
+        stack = getattr(weights, name)
+        if stack.shape != view.shape:
+            raise ContractViolation(f"{name} is {stack.shape}, the config needs {view.shape}")
+        view[...] = stack
+    header = {
+        "format": "lazykv-model",
+        "version": 1,
+        **asdict(config),
+        "seed": seed,
+        "byte_order": "little-endian",
+        "dtype": "f64",
+    }
+    with open(path, "wb") as f:
+        f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        f.write(b"\n")
+        f.write(flat.tobytes())
+
+
+def load_model(path) -> Tuple[ModelConfig, Weights, Optional[int]]:
+    with open(path, "rb") as f:
+        header_line = f.readline()
+        blob = f.read()
+    header = parse_json(header_line, f"model header of {path}")
+    if not isinstance(header, dict) or header.get("format") != "lazykv-model":
+        raise InputError(f"{path} is not a lazykv model file")
+    # 1.0 and True both equal 1, so the type is checked first.
+    version = header.get("version")
+    if type(version) is not int or version != 1:
+        raise InputError(f"unsupported model file version {version!r}")
+    if header.get("dtype") != "f64" or header.get("byte_order") != "little-endian":
+        raise InputError("unsupported model dtype or byte order")
+    # Annotations are strings here (``from __future__ import annotations``),
+    # and a bool's type name is not "int".
+    arch = {}
+    for field in fields(ModelConfig):
+        if field.name not in header:
+            raise InputError(f"model header lacks {field.name!r}")
+        arch[field.name] = value = header[field.name]
+        if type(value).__name__ != field.type:
+            raise InputError(
+                f"model header field {field.name!r} must be {field.type}, got {value!r}"
+            )
+    config = ModelConfig(**arch)
+    if len(blob) != config.weight_bytes:
         raise InputError(
-            f"model blob is {len(blob)} bytes, expected exactly {expected}"
+            f"model blob is {len(blob)} bytes, expected exactly {config.weight_bytes}"
         )
-    flat = np.frombuffer(blob, dtype=_BLOB_DTYPE).astype(np.float64)
+    flat = np.frombuffer(blob, dtype=_BLOB_DTYPE)
     if not np.isfinite(flat).all():
         raise InputError("model blob contains non-finite values")
-
-    pos = 0
-
-    def take(*shape):
-        nonlocal pos
-        n = int(np.prod(shape))
-        out = flat[pos : pos + n].reshape(shape)
-        pos += n
-        return out
-
-    # Copies, so that no weight keeps ``flat`` alive once loading returns.
-    embedding = take(v, d).copy()
-    w_q = np.empty((L, H, d, dk))
-    w_k = np.empty((L, H, d, dk))
-    w_v = np.empty((L, H, d, d))
-    w_ff1 = np.empty((L, d, d))
-    w_ff2 = np.empty((L, d, d))
-    for layer in range(L):
-        for h in range(H):
-            w_q[layer, h] = take(d, dk)
-            w_k[layer, h] = take(d, dk)
-            w_v[layer, h] = take(d, d)
-        w_ff1[layer] = take(d, d)
-        w_ff2[layer] = take(d, d)
-    unembed = take(d, v).copy()
-    weights = Weights(
-        embedding=embedding,
-        w_q=w_q,
-        w_k=w_k,
-        w_v=w_v,
-        w_ff1=w_ff1,
-        w_ff2=w_ff2,
-        unembed=unembed,
-    )
+    # One native copy per stack, so that no weight keeps the blob alive.
+    views = vars(_blob_views(config, flat))
+    weights = Weights(**{name: m.astype(np.float64, order="C") for name, m in views.items()})
     return config, weights, header.get("seed")
 
 

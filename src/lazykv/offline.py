@@ -10,7 +10,6 @@ order-independent sum, so permuting the corpus changes nothing.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -18,7 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .engine import EngineParams, PolicyFile, Session
-from .errors import InputError
+from .errors import InputError, parse_json
 from .lazydetect import DetectParams
 from .model import ModelConfig, Weights
 
@@ -56,20 +55,21 @@ def is_token_list(data) -> bool:
 def load_corpus(path) -> List[CorpusSample]:
     """Read JSON-lines samples: {"question": [ints], "answer": [ints]}."""
     samples = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-                fields = (raw["question"], raw["answer"])
-                if not all(map(is_token_list, fields)):
-                    raise TypeError("question and answer must be lists of integer ids")
-                np.asarray(fields[0] + fields[1], dtype=np.int64)  # int64 range
-            except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
-                raise InputError(f"{path}:{lineno}: bad corpus line: {exc}") from exc
-            samples.append(CorpusSample(*map(tuple, fields)))
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        raw = parse_json(line, f"{path}:{lineno}")
+        try:
+            fields = (raw["question"], raw["answer"])
+            if not all(map(is_token_list, fields)):
+                raise TypeError("question and answer must be lists of integer ids")
+            np.asarray(fields[0] + fields[1], dtype=np.int64)  # int64 range
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise InputError(f"{path}:{lineno}: bad corpus line: {exc}") from exc
+        samples.append(CorpusSample(*map(tuple, fields)))
     return samples
 
 

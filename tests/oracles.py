@@ -207,6 +207,25 @@ def ln_clip_where(x) -> np.ndarray:
     return out[0] if single else out
 
 
+def model_blob(config, weights) -> bytes:
+    """A model file's weight blob, one matrix at a time in file order:
+    embedding; per layer, per head W_Q, W_K, W_V, then W_ff1 and W_ff2;
+    unembedding; each row-major little-endian float64."""
+
+    def matrices():
+        yield weights.embedding
+        for layer in range(config.n_layers):
+            for h in range(config.n_heads):
+                yield weights.w_q[layer, h]
+                yield weights.w_k[layer, h]
+                yield weights.w_v[layer, h]
+            yield weights.w_ff1[layer]
+            yield weights.w_ff2[layer]
+        yield weights.unembed
+
+    return b"".join(np.ascontiguousarray(m, dtype="<f8").tobytes() for m in matrices())
+
+
 def run_pair_every_layer(
     weights,
     config,

@@ -105,6 +105,18 @@ class TestGenModel:
         assert str((2 * v * d + L * (H * (2 * d * dk + d * d) + 2 * d * d)) * 8) in err
         assert not out.exists()
 
+    def test_zero_layer_model_round_trip(self, tmp_path):
+        path = tmp_path / "m"
+        assert run_cli(
+            "gen-model", "--layers", 0, "--heads", 2, "--dim", 4, "--dk", 3,
+            "--vocab", 5, "--out", path, "--report", tmp_path / "gen.json",
+        ) == 0
+        _, weights, _ = load_model(path)
+        assert weights.w_q.shape == weights.w_k.shape == (0, 2, 4, 3)
+        assert weights.w_v.shape == (0, 2, 4, 4)
+        assert run_cli("run", "--model", path, "--tokens", "1,2,3", "--max-new", 2,
+                       "--report", tmp_path / "r.json") == 0
+
     def test_weight_bytes_is_the_blob_size(self, model_path):
         config, _, _ = load_model(model_path)
         assert len(model_path.read_bytes().split(b"\n", 1)[1]) == config.weight_bytes
@@ -181,11 +193,29 @@ class TestRun:
             "--report", tmp_path / "r.json",
         ) == 0
 
+    def test_weights_too_large_for_float64_are_one_line_error(self, tmp_path, model_path,
+                                                              capsys):
+        # finite weights whose squares overflow: refused, not a warning per
+        # site and tokens computed from infinities
+        from lazykv.model import save_model
+
+        config, weights, _ = load_model(model_path)
+        weights.embedding[:] = 1e300
+        path = tmp_path / "huge"
+        save_model(path, config, weights)
+        capsys.readouterr()
+        assert run_cli("run", "--model", path, "--tokens", "1,2,3", "--max-new", 1,
+                       "--report", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "overflow" in err
+
     def test_bad_token_string_is_input_error(self, model_path):
         assert run_cli("run", "--model", model_path, "--tokens", "1,x,3") == 1
 
     @pytest.mark.parametrize(
-        "text", ["[1.7, 2.2]", "[1, true]", "{\"a\": 1}", "[1, 2", "[99999999999999999999]"]
+        "text",
+        ["[1.7, 2.2]", "[1, true]", "{\"a\": 1}", "[1, 2", "[99999999999999999999]",
+         pytest.param("[" * 100_000, id="deep-nesting")],
     )
     def test_bad_token_file_is_input_error(self, tmp_path, model_path, capsys, text):
         # non-integers are refused, not truncated; unreadable JSON is refused
@@ -218,7 +248,10 @@ class TestPolicyBoundary:
     def test_good_policy_runs(self, tmp_path, model_path, capsys):
         assert self.run_policy(tmp_path, model_path, capsys, json.dumps(GOOD_POLICY))[0] == 0
 
-    @pytest.mark.parametrize("text", ["{\"lazy_layers\": [0", "[1, 2]", "7"])
+    @pytest.mark.parametrize(
+        "text",
+        ["{\"lazy_layers\": [0", "[1, 2]", "7", pytest.param("[" * 100_000, id="deep-nesting")],
+    )
     def test_malformed_json_or_non_object(self, tmp_path, model_path, capsys, text):
         rc, err = self.run_policy(tmp_path, model_path, capsys, text)
         assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
@@ -234,6 +267,11 @@ class TestPolicyBoundary:
     @pytest.mark.parametrize("layers", [[0, 0], [0, 1.5], "0"])
     def test_duplicate_or_non_integer_lazy_layers(self, tmp_path, model_path, capsys, layers):
         text = json.dumps(dict(GOOD_POLICY, lazy_layers=layers))
+        rc, err = self.run_policy(tmp_path, model_path, capsys, text)
+        assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+
+    def test_foreign_fingerprint_is_echoed_on_one_line(self, tmp_path, model_path, capsys):
+        text = json.dumps(dict(GOOD_POLICY, fingerprint="a\nb"))
         rc, err = self.run_policy(tmp_path, model_path, capsys, text)
         assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
 
@@ -255,11 +293,16 @@ class TestPolicyBoundary:
 
 
 class TestModelHeader:
-    """A missing or mistyped architecture field exits 1 with a one-line message."""
+    """A missing, mistyped or unreadable header field exits 1 with a
+    one-line message. A bytes value is raw JSON text, which json.dumps
+    cannot write; None deletes the field."""
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n_layers", None), ("d_model", "3"), ("n_layers", True), ("ln_mode", 1)],
+        [("n_layers", None), ("d_model", "3"), ("n_layers", True), ("ln_mode", 1),
+         ("version", 2), ("version", "x"), ("version", True), ("version", 1.0),
+         pytest.param("n_layers", b"[" * 100_000, id="n_layers-deep-nesting"),
+         pytest.param("n_layers", b"9" * 5000, id="n_layers-5000-digits")],
     )
     def test_bad_architecture_field(self, tmp_path, capsys, field, value):
         # one layer and one head, so a bool read as 1 would fit the blob
@@ -270,17 +313,21 @@ class TestModelHeader:
         ) == 0
         header_line, blob = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
+        raw = isinstance(value, bytes)
         if value is None:
             del header[field]
         else:
-            header[field] = value
-        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+            header[field] = "RAW" if raw else value
+        header_line = json.dumps(header).encode()
+        if raw:
+            header_line = header_line.replace(b'"RAW"', value)
+        path.write_bytes(header_line + b"\n" + blob)
         capsys.readouterr()
         rc = run_cli("run", "--model", path, "--tokens", "1,2,3", "--max-new", 1,
                      "--report", tmp_path / "r.json")
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
-        assert field in err
+        assert ("not valid JSON" if raw else field) in err
 
 
 class TestVerifyTheory:
@@ -378,6 +425,20 @@ class TestPreselectCommand:
         corpus = tmp_path / "c.jsonl"
         good = {"question": [1, 2, 3], "answer": [4]}
         corpus.write_text(json.dumps(good) + "\n" + json.dumps(line) + "\n")
+        capsys.readouterr()
+        assert run_cli("preselect", "--model", model_path, "--corpus", corpus) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{corpus}:2:" in err
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"[" * 100_000, b'{"question": [' + b"9" * 5000 + b'], "answer": [3]}', b"\xff\xfe"],
+        ids=["deep-nesting", "5000-digits", "not-utf-8"],
+    )
+    def test_unreadable_line_is_input_error(self, tmp_path, model_path, capsys, line):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(b'{"question": [1, 2, 3], "answer": [4]}\n' + line + b"\n")
         capsys.readouterr()
         assert run_cli("preselect", "--model", model_path, "--corpus", corpus) == 1
         err = capsys.readouterr().err

@@ -15,6 +15,7 @@ from lazykv.model import (
     ACTIVATIONS,
     RMS_EPS,
     ModelConfig,
+    Weights,
     _causal_attention,
     block_forward,
     ffn_forward,
@@ -30,7 +31,7 @@ from lazykv.model import (
     save_model,
 )
 
-from oracles import ln_clip_where
+from oracles import ln_clip_where, model_blob
 
 
 def small_config(**kw):
@@ -357,8 +358,64 @@ class TestActivations:
             slopes = np.abs(np.diff(ys) / np.diff(xs))
             assert slopes.max() <= lip + 1e-9, name
 
+    def test_sigmoid_saturates_without_overflow(self):
+        # exp(-x) is inf below x = -709; the quotient is the exact limit 0
+        from lazykv.model import _ACT_FNS
+
+        with np.errstate(over="raise"):
+            assert _ACT_FNS["sigmoid"](np.array([-1000.0, 1000.0])).tolist() == [0.0, 1.0]
+
+
+# (n_layers, n_heads, d_model, d_head): zero, one and three layers, one and
+# three heads, d_head above and below d_model / n_heads.
+FORMAT_SHAPES = [(0, 1, 4, 3), (1, 1, 4, 6), (1, 3, 6, 1), (3, 3, 6, 5), (3, 1, 4, 2)]
+
 
 class TestModelFile:
+    @pytest.mark.parametrize("shape", FORMAT_SHAPES, ids=str)
+    def test_blob_is_the_per_matrix_oracle(self, tmp_path, shape):
+        L, H, d, dk = shape
+        config = ModelConfig(n_layers=L, n_heads=H, d_model=d, d_head=dk, vocab_size=5)
+        weights = random_init(config, 3, 0.5)
+        path = tmp_path / "m"
+        save_model(path, config, weights)
+        assert path.read_bytes().split(b"\n", 1)[1] == model_blob(config, weights)
+        # so the file now holds the oracle's bytes
+        _, loaded, _ = load_model(path)
+        for name, stack in vars(loaded).items():
+            assert stack.shape == getattr(weights, name).shape, name
+            assert np.array_equal(stack, getattr(weights, name)), name
+            assert stack.flags.c_contiguous and stack.base is None, name
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # policy files name a model by this digest, so neither the header
+        # nor the blob may drift; the weights are distinct per stack, no RNG
+        config = ModelConfig(2, 2, 3, 2, 5, "gelu", "rms", "inv_sqrt_dk")
+        zeros = vars(random_init(config, 0, 0.0))
+        weights = Weights(**{
+            name: np.arange(m.size).reshape(m.shape) * 0.5 + 1000.0 * i
+            for i, (name, m) in enumerate(zeros.items())
+        })
+        path = tmp_path / "m"
+        save_model(path, config, weights, seed=7)
+        assert model_fingerprint(path) == (
+            "6605df0ed00734617240ddeb9138111634a1d3dd660b997a2eddbfd3aadca76b"
+        )
+
+    def test_load_holds_the_blob_and_the_weights_only(self, tmp_path):
+        # the file's bytes plus one copy of each stack; a float copy of the
+        # whole blob beside them would make it three times the weights
+        config = ModelConfig(n_layers=8, n_heads=4, d_model=64, d_head=16, vocab_size=256)
+        path = tmp_path / "m"
+        save_model(path, config, random_init(config, 1, 0.1))
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * config.weight_bytes
+
     def test_round_trip_preserves_forward(self, tmp_path):
         config = small_config(n_layers=2, activation="gelu", ln_mode="rms",
                               logit_scaling="inv_sqrt_dk")
