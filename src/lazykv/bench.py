@@ -40,11 +40,7 @@ SKIPPED_STEPS = 2
 
 def baseline_params(detect: DetectParams) -> EngineParams:
     """Engine params for the all-full-attention baseline (no detection)."""
-    baseline = PolicyFile(
-        fingerprint="", lazy_layers=[], w_sink=detect.w_sink,
-        w_recent=detect.w_recent, provenance="manual",
-    )
-    return EngineParams(detect=detect, policy=baseline)
+    return EngineParams(detect=detect, policy=PolicyFile.from_detect(detect, [], "manual"))
 
 
 def _run(weights, config, params, tokens, max_new: int) -> dict:

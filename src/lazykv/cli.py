@@ -172,10 +172,10 @@ def cmd_run(args) -> int:
     config, weights, _ = load_model(args.model)
     tokens = _parse_tokens(args.tokens)
     detect = _detect_from_args(args, config.n_layers)
+    fp = model_fingerprint(args.model) if args.policy or args.emit_policy else ""
     policy = None
     if args.policy:
         policy = PolicyFile.load(args.policy)
-        fp = model_fingerprint(args.model)
         if policy.fingerprint and policy.fingerprint != fp:
             raise InputError(
                 f"policy {args.policy} was built for model {policy.fingerprint[:12]!r}..., "
@@ -192,13 +192,9 @@ def cmd_run(args) -> int:
         }
     )
     if args.emit_policy:
-        PolicyFile(
-            fingerprint=model_fingerprint(args.model),
-            lazy_layers=session.report.lazy_layers,
-            w_sink=detect.w_sink,
-            w_recent=detect.w_recent,
-            provenance="online",
-        ).save(args.emit_policy)
+        PolicyFile.from_detect(detect, session.report.lazy_layers, "online", fp).save(
+            args.emit_policy
+        )
         report["emitted_policy"] = args.emit_policy
     _emit(report, args.report)
     return 0
@@ -228,16 +224,19 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
-    from .theory import lemma_oracles, verify_theorem
+    from .errors import InputError
+    from .model import ModelConfig
+    from .theory import check_trial_sizes, lemma_oracles, verify_theorem
 
-    theorem = verify_theorem(
-        n_trials=args.trials,
-        seed=args.seed,
-        max_layers=args.max_layers,
-        max_heads=args.max_heads,
-        max_dim=args.max_dim,
-        max_tokens=args.max_tokens,
-    )
+    sizes = (args.max_layers, args.max_heads, args.max_dim, args.max_tokens)
+    check_trial_sizes(args.trials, *sizes)
+    largest = ModelConfig(args.max_layers, args.max_heads, args.max_dim, args.max_dim,
+                          2 * args.max_dim)
+    # The largest drawable model's weights and its longest prompt's (H, n, n) scores.
+    need = largest.weight_bytes + 8 * args.max_heads * args.max_tokens**2
+    if need > _memory_bytes():
+        raise InputError(f"out of memory: a trial may need {need} bytes")
+    theorem = verify_theorem(args.trials, args.seed, *sizes)
     lemmas = lemma_oracles(n_trials=args.lemma_trials, seed=args.seed)
     lemma_violations = sum(v["violations"] for v in lemmas.values())
     ok = theorem["pass"] and lemma_violations == 0
@@ -257,7 +256,7 @@ def cmd_analyze(args) -> int:
 
     from .engine import EngineParams, Session
     from .errors import InputError
-    from .lazydetect import DetectParams, lse_log_ratios
+    from .lazydetect import DetectParams, IdentifierState, lse_log_ratios
     from .model import load_model
     from .numerics import attend
 
@@ -267,7 +266,7 @@ def cmd_analyze(args) -> int:
     tokens = _parse_tokens(args.tokens)
     sweep = sorted(set(_parse_int_list(args.w_last_sweep, "--w-last-sweep", minimum=1)))
     L, scale = config.n_layers, config.score_scale
-    n_lazy = L - min(_default_p(L, args.p_layers), L)
+    p = _default_p(L, args.p_layers)
     detect = DetectParams(
         w_last=max(sweep),
         w_sink=args.w_sink,
@@ -292,14 +291,15 @@ def cmd_analyze(args) -> int:
         # Each layer's kept mass for the newest row: its query, its lse over
         # every held row, then the log-sum-exp shortcut of prefill detection.
         masses = []
+        ranking = IdentifierState(p, L)
         for layer, cache in enumerate(session.caches):
             keys, inputs, _ = cache.held()
             q = np.matmul(inputs[-1:], weights.w_q[layer])
             _, lse = attend(q, keys, scale)
             masses.append(float(np.exp(lse_log_ratios(q, keys, lse, detect, scale)).mean()))
+            ranking.push(layer, masses[-1])
         decode_masses.append(masses)
-        order = sorted(range(L), key=lambda i: (-masses[i], -i))
-        step_lazy_sets.append(sorted(order[:n_lazy]))
+        step_lazy_sets.append(ranking.finalize()[1])
         next_id = int(np.argmax(logits))
     _emit(
         {

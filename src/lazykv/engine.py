@@ -69,6 +69,14 @@ class PolicyFile:
     # Pyramid policies give each layer its own recent window.
     recent_windows: Optional[List[int]] = None
 
+    @classmethod
+    def from_detect(cls, detect: DetectParams, lazy_layers, provenance: str,
+                    fingerprint: str = "", **extra) -> "PolicyFile":
+        """A policy on ``detect``'s windows; ``extra`` sets ``seed`` or
+        ``recent_windows``."""
+        return cls(fingerprint, list(lazy_layers), detect.w_sink, detect.w_recent,
+                   provenance, **extra)
+
     def to_dict(self) -> dict:
         out = {
             "fingerprint": self.fingerprint,
@@ -176,7 +184,6 @@ class Session:
             else None
         )
         self.prefilled = False
-        self.generated: List[int] = []
         self.report: Optional[LazyRatioReport] = None
         self.peak_rows = 0  # running peak of held rows over all layers
         self.peak_full_caches = 0
@@ -294,13 +301,11 @@ class Session:
         logits, _ = self.prefill(prompt_tokens)
         if max_new_tokens == 0:
             return []
-        next_id = int(np.argmax(logits))
-        self.generated = [next_id]
+        generated = [int(np.argmax(logits))]
         for _ in range(max_new_tokens - 1):
-            logits = self.decode_step(next_id)
-            next_id = int(np.argmax(logits))
-            self.generated.append(next_id)
-        return list(self.generated)
+            logits = self.decode_step(generated[-1])
+            generated.append(int(np.argmax(logits)))
+        return generated
 
     @property
     def peak_kv_bytes(self) -> int:
@@ -321,7 +326,6 @@ class Session:
             "decode_ms_per_step": (
                 float(np.median(decode_ms)) if decode_ms else None
             ),
-            "tokens": list(self.generated),
         }
 
 
@@ -386,16 +390,11 @@ def make_policy(
     as given.
     """
     L = config.n_layers
+    extra = {}
     if strategy == "pyramid":
-        return PolicyFile(
-            fingerprint=fingerprint,
-            lazy_layers=list(range(L)),
-            w_sink=detect.w_sink,
-            w_recent=detect.w_recent,
-            provenance="pyramid",
-            recent_windows=pyramid_windows(L, detect.w_recent),
-        )
-    if strategy == "random":
+        lazy = list(range(L))
+        extra["recent_windows"] = pyramid_windows(L, detect.w_recent)
+    elif strategy == "random":
         n_lazy = L - min(detect.n_full, L)
         lo, hi = layer_range if layer_range is not None else (0, L)
         if not (0 <= lo < hi <= L):
@@ -405,26 +404,14 @@ def make_policy(
                 f"range [{lo}, {hi}) holds {hi - lo} layers, need {n_lazy}"
             )
         rng = np.random.default_rng(check_seed(seed))
-        chosen = sorted(int(i) for i in rng.choice(np.arange(lo, hi), size=n_lazy, replace=False))
-        return PolicyFile(
-            fingerprint=fingerprint,
-            lazy_layers=chosen,
-            w_sink=detect.w_sink,
-            w_recent=detect.w_recent,
-            provenance="random",
-            seed=seed,
-        )
-    if strategy == "manual":
-        layers = sorted(int(i) for i in (manual_layers or []))
-        if len(set(layers)) != len(layers):
+        lazy = sorted(int(i) for i in rng.choice(np.arange(lo, hi), size=n_lazy, replace=False))
+        extra["seed"] = seed
+    elif strategy == "manual":
+        lazy = sorted(int(i) for i in (manual_layers or []))
+        if len(set(lazy)) != len(lazy):
             raise InputError("manual layer list contains duplicates")
-        if layers and (layers[0] < 0 or layers[-1] >= L):
+        if lazy and (lazy[0] < 0 or lazy[-1] >= L):
             raise InputError(f"manual layers outside 0..{L - 1}")
-        return PolicyFile(
-            fingerprint=fingerprint,
-            lazy_layers=layers,
-            w_sink=detect.w_sink,
-            w_recent=detect.w_recent,
-            provenance="manual",
-        )
-    raise InputError(f"unknown policy strategy {strategy!r}")
+    else:
+        raise InputError(f"unknown policy strategy {strategy!r}")
+    return PolicyFile.from_detect(detect, lazy, strategy, fingerprint, **extra)

@@ -83,7 +83,11 @@ def lse_log_ratios(
     _, kept = attend(
         q_last, keys[:, cols], scale, q_pos, cols, keep=(params.w_sink, params.w_recent)
     )
-    return kept - lse
+    log_ratios = kept - lse
+    # A row below w_sink + w_recent keeps its whole causal set, but its two
+    # lse may sum the same scores in different tiles: its ratio is exactly 1.
+    log_ratios[:, q_pos < min(params.w_sink + params.w_recent, n)] = 0.0
+    return log_ratios
 
 
 class IdentifierState:
@@ -91,7 +95,8 @@ class IdentifierState:
 
     Pops return the laziest layer seen so far once capacity is exceeded;
     equal ratios pop the deeper layer first, which makes selection
-    deterministic.
+    deterministic. It is the package's one layer ranking: ``preselect`` and
+    ``analyze`` push corpus counts and decode-step masses through it too.
     """
 
     def __init__(self, capacity: int, n_layers: int):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import EngineParams, PolicyFile, Session
 from .errors import InputError, parse_json
-from .lazydetect import DetectParams
+from .lazydetect import DetectParams, IdentifierState
 from .model import ModelConfig, Weights
 
 __all__ = ["CorpusSample", "FrequencyTable", "load_corpus", "preselect"]
@@ -106,17 +106,9 @@ def preselect(
             "lazy ratios all equal 1 and selection rests on the tie-break",
             stacklevel=2,
         )
-    n_lazy = L - min(detect.n_full, L)
-    # Highest count wins; on ties prefer the deeper layer, matching the
-    # online pop order.
-    order = sorted(range(L), key=lambda i: (-counts[i], -i))
-    selected = sorted(order[:n_lazy])
+    # The online queue ranks the counts: highest wins, ties to the deeper layer.
+    ranking = IdentifierState(detect.n_full, L)
+    for layer, count in enumerate(counts):
+        ranking.push(layer, count)
     table = FrequencyTable(counts=[int(c) for c in counts], n_samples=len(corpus))
-    policy = PolicyFile(
-        fingerprint=fingerprint,
-        lazy_layers=selected,
-        w_sink=detect.w_sink,
-        w_recent=detect.w_recent,
-        provenance="preselect",
-    )
-    return table, policy
+    return table, PolicyFile.from_detect(detect, ranking.finalize()[1], "preselect", fingerprint)

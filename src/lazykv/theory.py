@@ -34,7 +34,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ContractViolation, InputError, check_seed
+from .errors import INT64_MAX, ContractViolation, InputError, check_seed
 from .model import (
     ModelConfig,
     Weights,
@@ -57,6 +57,7 @@ __all__ = [
     "check_recursive_bound",
     "check_logit_bound",
     "lemma_oracles",
+    "check_trial_sizes",
     "verify_theorem",
 ]
 
@@ -347,6 +348,22 @@ def lemma_oracles(n_trials: int = 500, seed: int = 0) -> dict:
 # -- randomized theorem verification -------------------------------------------
 
 
+def check_trial_sizes(n_trials, max_layers, max_heads, max_dim, max_tokens) -> None:
+    """Refuse ``verify_theorem`` limits that cannot be drawn: sizes are drawn
+    as int64 below max + 1, the vocabulary below 2 * max_dim + 1."""
+    for name, value, low, high in (
+        ("n_trials", n_trials, 1, INT64_MAX),
+        ("max_layers", max_layers, 1, INT64_MAX),
+        ("max_heads", max_heads, 1, INT64_MAX),
+        ("max_dim", max_dim, 2, INT64_MAX // 2),
+        ("max_tokens", max_tokens, 2, INT64_MAX),
+    ):
+        if value < low:
+            raise InputError(f"{name} must be >= {low}, got {value}")
+        if value > high:
+            raise InputError(f"{name} must be <= {high}, got {value}")
+
+
 def verify_theorem(
     n_trials: int = 100,
     seed: int = 0,
@@ -357,15 +374,7 @@ def verify_theorem(
     target_b: float = 1.2,
 ) -> dict:
     """Random small networks: every bound margin must clear -1e-9."""
-    for name, value, low in (
-        ("n_trials", n_trials, 1),
-        ("max_layers", max_layers, 1),
-        ("max_heads", max_heads, 1),
-        ("max_dim", max_dim, 2),
-        ("max_tokens", max_tokens, 2),
-    ):
-        if value < low:
-            raise InputError(f"{name} must be >= {low}, got {value}")
+    check_trial_sizes(n_trials, max_layers, max_heads, max_dim, max_tokens)
     rng = np.random.default_rng(check_seed(seed))
     trials = []
     for trial_idx in range(n_trials):

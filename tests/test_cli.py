@@ -134,6 +134,7 @@ class TestRun:
         data = read_json(report)
         assert data["lazy_layers"] == []
         assert len(data["generated_tokens"]) == 5
+        assert "tokens" not in data  # the ids are reported once
 
         config, weights, _ = load_model(model_path)
         seq = [1, 2, 3, 4, 5, 6, 7]
@@ -172,6 +173,26 @@ class TestRun:
         a, b = read_json(rep1), read_json(rep2)
         assert a["generated_tokens"] == b["generated_tokens"]
         assert b["mode"] == "static"
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--policy"], ["--emit-policy"], ["--policy", "--emit-policy"]]
+    )
+    def test_model_hashed_only_for_policy_flags(self, tmp_path, model_path, monkeypatch,
+                                                flags):
+        import lazykv.model
+
+        policy = tmp_path / "policy.json"
+        assert run_cli("make-policy", "--model", model_path, "--strategy", "manual",
+                       "--layers", 0, "--out", policy, "--report", tmp_path / "p.json") == 0
+        hashes = []
+        fingerprint = lazykv.model.model_fingerprint
+        monkeypatch.setattr(lazykv.model, "model_fingerprint",
+                            lambda path: hashes.append(path) or fingerprint(path))
+        paths = {"--policy": policy, "--emit-policy": tmp_path / "emitted.json"}
+        argv = [a for flag in flags for a in (flag, paths[flag])]
+        assert run_cli("run", "--model", model_path, "--tokens", "1,2,3", "--max-new", 1,
+                       *argv, "--report", tmp_path / "r.json") == 0
+        assert len(hashes) == min(len(flags), 1)
 
     def test_fingerprint_mismatch_refused(self, tmp_path, model_path):
         policy = tmp_path / "policy.json"
@@ -603,9 +624,16 @@ class TestFlagBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("flag", ["--max-tokens", "--max-dim"])
-    def test_verify_theory_sizes(self, capsys, flag):
-        assert run_cli("verify-theory", "--trials", 1, "--lemma-trials", 1, flag, 1) == 1
+    @pytest.mark.parametrize(
+        "flag, value",
+        [pytest.param(f, 1, id=f) for f in ("--max-tokens", "--max-dim")]
+        # past int64 the draws' bounds overflow; at 2**63 - 1 the arrays do
+        + [pytest.param(f, v, id=f"{f}={label}")
+           for v, label in ((10**20, "10**20"), (2**63 - 1, "2**63-1"))
+           for f in ("--max-tokens", "--max-layers", "--max-heads", "--max-dim")],
+    )
+    def test_verify_theory_sizes(self, capsys, flag, value):
+        assert run_cli("verify-theory", "--trials", 1, "--lemma-trials", 1, flag, value) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 

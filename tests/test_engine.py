@@ -191,6 +191,23 @@ class TestPrefill:
         _, report = session.prefill(tokens)
         assert np.allclose(report.ratios, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed, n", [(28, 93), (56, 121), (116, 181)])
+    def test_covered_prompt_ties_exactly_on_the_tiled_path(self, seed, n):
+        # Above 64 tokens the full lse comes from the tiled kernel and the
+        # kept lse from a gathered attend call. A window that covers every
+        # row keeps the whole causal set, so each ratio is exactly 1 and the
+        # queue pops the deepest layers; a rounding gap of 1e-16 in one
+        # ratio is enough to move a shallower layer into the lazy set.
+        config = ModelConfig(
+            n_layers=8, n_heads=4, d_model=64, d_head=16, vocab_size=256,
+            ln_mode="rms", logit_scaling="inv_sqrt_dk",
+        )
+        detect = DetectParams(w_last=32, w_sink=4, w_recent=1020, n_full=4)
+        session = Session(random_init(config, 1, 0.2), config, EngineParams(detect=detect))
+        _, report = session.prefill(random_prompt(np.random.default_rng(seed), config, n))
+        assert all(r == 1.0 for r in report.ratios)
+        assert report.lazy_layers == [4, 5, 6, 7]
+
     def test_lazy_set_matches_ratio_sort_oracle_and_peak_full(self):
         config, weights = make_model(4, n_layers=4, d_model=6, d_head=4)
         detect = DetectParams(w_last=8, w_sink=2, w_recent=6, n_full=2)

@@ -44,8 +44,9 @@ GOOD_SAMPLE = {"question": [1, 2, 3], "answer": [4]}
 
 
 def run(*argv):
-    """Exit code and stderr of ``cli.main``; an escaped exception becomes
-    the traceback a console would show, and warnings are returned too. The
+    """Exit code and stderr of ``cli.main``, or of the parser's exit; an
+    escaped exception becomes the traceback a console would show, and
+    warnings are returned too. The
     package's own ``UserWarning`` (a corpus sample too short to rank
     layers) is a notice about valid input and is not counted."""
     err = io.StringIO()
@@ -55,6 +56,8 @@ def run(*argv):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
                 rc = main([str(a) for a in argv])
+            except SystemExit as exc:  # the parser refusing a flag
+                rc = exc.code
             except Exception:
                 traceback.print_exc()
                 rc = None

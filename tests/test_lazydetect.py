@@ -123,6 +123,9 @@ class TestLseRatio:
             expect = loop_log_ratios(q_last, ks, lse, params, scale)
             assert got.shape == (h, m)
             assert np.allclose(got, expect, atol=1e-12, rtol=0)
+            # a row the window covers keeps its whole causal set: exactly 0
+            covered = np.arange(n - m, n) < params.w_sink + params.w_recent
+            assert (got[:, covered] == 0).all()
 
     def test_kept_equals_full_set_gives_one(self):
         rng = np.random.default_rng(3)
