@@ -40,7 +40,9 @@ import numpy as np
 from .errors import INT64_MAX, ContractViolation, InputError, check_seed, parse_json
 from .kvcache import CachePolicy, LayerCache, attend_from_cache
 from .lazydetect import DetectParams, IdentifierState, LazyRatioReport, lse_log_ratios
-from .model import ModelConfig, Weights, ffn_forward, ln, mha_from_projections, project_qkv
+from .model import (
+    ModelConfig, Weights, check_tokens, ffn_forward, ln, mha_from_projections, project_qkv,
+)
 from .numerics import attend
 
 __all__ = [
@@ -197,21 +199,13 @@ class Session:
         if full > self.peak_full_caches:
             self.peak_full_caches = full
 
-    def _validate_tokens(self, tokens: np.ndarray) -> np.ndarray:
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1 or tokens.size == 0:
-            raise InputError("token sequence must be non-empty")
-        if tokens.min() < 0 or tokens.max() >= self.config.vocab_size:
-            raise InputError("token id outside the vocabulary")
-        return tokens
-
     # -- prefill -------------------------------------------------------------
 
     def prefill(self, tokens) -> Tuple[np.ndarray, LazyRatioReport]:
         """Process the prompt; returns (last-position logits, ratio report)."""
         if self.prefilled:
             raise ContractViolation("session already prefilled")
-        tokens = self._validate_tokens(tokens)
+        tokens = check_tokens(tokens, self.config.vocab_size)
         cfg, detect = self.config, self.params.detect
         online = self.params.policy is None
         scale = cfg.score_scale
@@ -276,9 +270,7 @@ class Session:
         """Append one token and return the next-token logits row."""
         if not self.prefilled:
             raise ContractViolation("decode_step called before prefill")
-        token = int(token)
-        if not 0 <= token < self.config.vocab_size:
-            raise InputError("token id outside the vocabulary")
+        token = check_tokens(token, self.config.vocab_size, one=True)
         t0 = time.perf_counter()
         cfg = self.config
         x = self.weights.embedding[token][None, :]
@@ -386,8 +378,9 @@ def make_policy(
 
     ``pyramid`` streams every layer with a depth-decreasing window budget;
     ``random`` drains n_layers - n_full uniformly chosen layers from
-    ``layer_range`` (default the whole stack); ``manual`` takes the list
-    as given.
+    ``layer_range`` (default the whole stack) under ``seed``, drawn in
+    ``[0, 2**63)`` and recorded when none is given; ``manual`` takes the
+    list as given.
     """
     L = config.n_layers
     extra = {}
@@ -403,6 +396,8 @@ def make_policy(
             raise InputError(
                 f"range [{lo}, {hi}) holds {hi - lo} layers, need {n_lazy}"
             )
+        if seed is None:
+            seed = int(np.random.default_rng().integers(INT64_MAX, endpoint=True))
         rng = np.random.default_rng(check_seed(seed))
         lazy = sorted(int(i) for i in rng.choice(np.arange(lo, hi), size=n_lazy, replace=False))
         extra["seed"] = seed

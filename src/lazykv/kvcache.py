@@ -6,7 +6,9 @@ most ``w_sink + w_recent`` rows, laid out as in StreamingLLM: position
 ``p`` lives in slot ``p`` if ``p < w_sink``, else in slot
 ``w_sink + (p - w_sink) % w_recent``. The sinks stay put and the recent
 window is a ring, so a one-token append overwrites the one slot whose
-position just left the window and moves nothing else. Eviction is
+position just left the window and moves nothing else; ``_ring_slot`` states
+that rule. A one-row append (each decode step) writes its slot directly,
+without a bulk append's index arrays, and leaves the same bits. Eviction is
 irreversible: the recent window only slides forward, so a dropped position
 can never be needed again. A full cache stores position ``p`` in row ``p``.
 
@@ -70,6 +72,12 @@ class CachePolicy:
         if w_recent < 1:
             raise ContractViolation("w_recent must be >= 1")
         return cls(kind="streaming", w_sink=w_sink, w_recent=w_recent)
+
+
+def _ring_slot(pos, w_sink: int, w_recent: int):
+    """Streaming-cache slot of ``pos``, an int or an int64 array, by the
+    module docstring's rule; branch-free, so it serves both alike."""
+    return pos - (pos >= w_sink) * ((pos - w_sink) // w_recent * w_recent)
 
 
 def kept_positions_for(total_seen: int, w_sink: int, w_recent: int) -> np.ndarray:
@@ -168,29 +176,23 @@ class LayerCache:
             )
         start = self.total_seen
         stop = start + t
-        if self.policy.kind == "full":
-            size = stop
-            runs = [(start, stop, start)]
-        else:
-            w_sink, w_recent = self.policy.w_sink, self.policy.w_recent
-            size = min(stop, w_sink + w_recent)
-            runs = [(start, min(stop, w_sink), start)] if start < w_sink else []
-            # Survivors past the sinks fill consecutive ring slots, wrapping
-            # at most once because there are at most w_recent of them.
-            lo = max(start, w_sink, stop - w_recent)
-            while lo < stop:
-                slot = w_sink + (lo - w_sink) % w_recent
-                hi = min(stop, lo + w_sink + w_recent - slot)
-                runs.append((lo, hi, slot))
-                lo = hi
+        full = self.policy.kind == "full"
+        w_sink, w_recent = self.policy.w_sink, self.policy.w_recent
+        size = stop if full else min(stop, w_sink + w_recent)
         self._reserve(size)
-        for lo, hi, slot in runs:
-            rows, dst = slice(lo - start, hi - start), slice(slot, slot + hi - lo)
-            self._k[:, dst] = new_keys[:, rows]
-            self._x[dst] = new_inputs[rows]
-            self._pos[dst] = np.arange(lo, hi)
-        self.total_seen = stop
-        self._size = size
+        self.total_seen, self._size = stop, size
+        if t == 1:  # one decode row: one slot to write, no index arrays
+            slot = start if full else _ring_slot(start, w_sink, w_recent)
+            self._k[:, slot], self._x[slot], self._pos[slot] = new_keys[:, 0], new_inputs[0], start
+            return
+        if full:
+            pos, rows, slots = np.arange(start, stop), slice(None), slice(start, stop)
+        else:
+            # The new rows the window keeps: sinks, then the newest w_recent.
+            kept = kept_positions_for(stop, w_sink, w_recent)
+            pos = kept[kept >= start]
+            rows, slots = pos - start, _ring_slot(pos, w_sink, w_recent)
+        self._k[:, slots], self._x[slots], self._pos[slots] = new_keys[:, rows], new_inputs[rows], pos
 
     def transfer_to_streaming(self, w_sink: int, w_recent: int) -> None:
         """Switch a full cache to streaming, dropping middle rows in one step.
@@ -213,7 +215,7 @@ class LayerCache:
         if target[-1] >= held.size or not np.array_equal(held[target], target):
             raise ContractViolation("retention window requested an evicted position")
         rows = np.empty(target.size, dtype=np.int64)
-        rows[np.where(target < w_sink, target, w_sink + (target - w_sink) % w_recent)] = target
+        rows[_ring_slot(target, w_sink, w_recent)] = target
         self._k, self._x, self._pos = self._k[:, rows], self._x[rows], self._pos[rows]
         self._size = target.size
 

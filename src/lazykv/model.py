@@ -54,6 +54,7 @@ __all__ = [
     "ModelConfig",
     "Weights",
     "HiddenTrace",
+    "check_tokens",
     "ln",
     "mha_forward",
     "mha_from_projections",
@@ -171,21 +172,23 @@ class HiddenTrace:
 
 
 def ln(x: np.ndarray, mode: str) -> np.ndarray:
-    """Row-wise normalization; accepts a single row or a matrix of rows."""
+    """Row-wise normalization; accepts a single row or a matrix of rows. One
+    row (a vector, or a decode step's ``(1, d)``) takes a scalar path: the
+    same ndarray sum of squares, then the same IEEE sqrt, clip and division
+    on a Python float, so its bits equal the matrix path's."""
     if not isinstance(x, np.ndarray) or x.dtype != np.float64:
         x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    rows = x[None, :] if single else x
     # The ndarray sum (and, for rms, division by the width) is what np.sum
     # and np.mean compute, bit for bit, without their wrapper overhead.
-    squares = (rows * rows).sum(axis=1, keepdims=True)
-    if mode == "clip":
-        out = rows * (1.0 / np.maximum(np.sqrt(squares), 1.0))
-    elif mode == "rms":
-        out = rows / np.sqrt(squares / rows.shape[1] + RMS_EPS)
+    if x.ndim == 1 or x.shape[0] == 1:
+        squares, sqrt, at_least = float((x * x).sum()), math.sqrt, max
     else:
-        raise InputError(f"unknown ln mode {mode!r}")
-    return out[0] if single else out
+        squares, sqrt, at_least = (x * x).sum(axis=1, keepdims=True), np.sqrt, np.maximum
+    if mode == "clip":
+        return x * (1.0 / at_least(sqrt(squares), 1.0))
+    if mode == "rms":
+        return x / sqrt(squares / x.shape[-1] + RMS_EPS)
+    raise InputError(f"unknown ln mode {mode!r}")
 
 
 # Query rows above which causal attention runs on ``_causal_attention``
@@ -317,17 +320,31 @@ def block_forward(
     return y, x_new
 
 
+def check_tokens(tokens, vocab_size: int, one: bool = False):
+    """Token ids in ``[0, vocab_size)``: with ``one`` a single id, returned as
+    an int, else a non-empty 1-D sequence, returned as int64. Python and numpy
+    integers pass; a bool or a float is an InputError, never truncated."""
+    if one:
+        if not isinstance(tokens, (int, np.integer)) or isinstance(tokens, bool):
+            raise InputError(f"token id must be an integer, got {tokens!r}")
+        ids = lo = hi = int(tokens)
+    else:
+        ids = np.asarray(tokens)
+        if ids.ndim != 1 or ids.size == 0:
+            raise InputError("tokens must be a non-empty 1-D id sequence")
+        # numpy reads [1, True] as ints, so a list is searched for bools.
+        listed = () if isinstance(tokens, np.ndarray) else tokens
+        if ids.dtype.kind not in "iu" or any(isinstance(t, (bool, np.bool_)) for t in listed):
+            raise InputError(f"token ids must be integers, got {ids.dtype} values")
+        ids, lo, hi = ids.astype(np.int64, copy=False), int(ids.min()), int(ids.max())
+    if lo < 0 or hi >= vocab_size:
+        raise InputError(f"token ids must lie in [0, {vocab_size}), got [{lo}, {hi}]")
+    return ids
+
+
 def forward_full(tokens, weights: Weights, config: ModelConfig) -> HiddenTrace:
     """Embed, run all blocks under the causal mask, unembed."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise InputError("tokens must be a non-empty 1-D id sequence")
-    if tokens.min() < 0 or tokens.max() >= config.vocab_size:
-        raise InputError(
-            f"token ids must lie in [0, {config.vocab_size}), got "
-            f"[{int(tokens.min())}, {int(tokens.max())}]"
-        )
-    x = weights.embedding[tokens]
+    x = weights.embedding[check_tokens(tokens, config.vocab_size)]
     xs = [x]
     for layer in range(config.n_layers):
         x = block_forward(x, layer, weights, config)[1]

@@ -385,6 +385,16 @@ class TestPolicies:
         assert read_json(a) == read_json(b)
         assert len(read_json(a)["lazy_layers"]) == 2
 
+    def test_make_policy_random_records_its_drawn_seed(self, tmp_path, model_path):
+        drawn, again = tmp_path / "drawn.json", tmp_path / "again.json"
+        args = ["make-policy", "--model", model_path, "--strategy", "random",
+                "--range", "0:3", "--p-layers", 1]
+        assert run_cli(*args, "--out", drawn) == 0
+        seed = read_json(drawn)["seed"]
+        assert isinstance(seed, int) and 0 <= seed < 2**63
+        assert run_cli(*args, "--seed", seed, "--out", again) == 0
+        assert read_json(again) == read_json(drawn)
+
     def test_make_policy_pyramid(self, tmp_path, model_path):
         out = tmp_path / "p.json"
         assert run_cli(

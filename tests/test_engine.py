@@ -309,6 +309,84 @@ class TestPrefill:
         assert [c.size for c in session.caches] == expect
 
 
+NON_INTEGER_PROMPTS = {
+    "floats": [1.7, 3.2],
+    "integral-floats": [1.0, 2.0],
+    "float-array": np.array([0.5, 1.5]),
+    "bools": [True, False],
+    "bool-in-ints": [1, True, 2],
+    "numpy-bool-in-ints": [1, np.True_],
+    "bool-array": np.array([True, False]),
+    "strings": ["1", "2"],
+    "past-int64": [1, 2**64],
+}
+INTEGER_PROMPTS = {
+    "python-ints": [1, 2, 3],
+    "numpy-scalars": [np.int64(1), np.int32(2), np.uint8(3)],
+    "int32-array": np.array([1, 2, 3], dtype=np.int32),
+    "uint64-array": np.array([1, 2, 3], dtype=np.uint64),
+}
+
+
+class TestTokenIds:
+    """Prefill, decode and the plain forward pass share one id check: it
+    refuses non-integer ids instead of truncating them, and accepts every
+    integer type, Python or numpy, as the same ids."""
+
+    @pytest.mark.parametrize("tokens", NON_INTEGER_PROMPTS.values(), ids=NON_INTEGER_PROMPTS)
+    def test_prefill_refuses_non_integer_ids(self, tokens):
+        config, weights = make_model(2)
+        with pytest.raises(InputError, match="integers"):
+            Session(weights, config, EngineParams()).prefill(tokens)
+
+    @pytest.mark.parametrize("tokens", NON_INTEGER_PROMPTS.values(), ids=NON_INTEGER_PROMPTS)
+    def test_forward_full_refuses_non_integer_ids(self, tokens):
+        config, weights = make_model(2)
+        with pytest.raises(InputError, match="integers"):
+            forward_full(tokens, weights, config)
+
+    @pytest.mark.parametrize(
+        "token", [2.9, 2.0, np.float64(2.0), True, np.True_, "2", [2], np.array(2)],
+        ids=["float", "integral-float", "numpy-float", "bool", "numpy-bool", "string",
+             "list", "0-d-array"],
+    )
+    def test_decode_refuses_non_integer_ids(self, token):
+        config, weights = make_model(2)
+        session = Session(weights, config, EngineParams())
+        session.prefill([1, 2, 3])
+        with pytest.raises(InputError, match="integer"):
+            session.decode_step(token)
+
+    @pytest.mark.parametrize("tokens", INTEGER_PROMPTS.values(), ids=INTEGER_PROMPTS)
+    def test_integer_types_give_the_same_logits(self, tokens):
+        config, weights = make_model(2)
+        expect = forward_full([1, 2, 3], weights, config).logits
+        assert np.array_equal(forward_full(tokens, weights, config).logits, expect)
+        logits = []
+        for token in (4, np.int64(4), np.uint16(4)):
+            session = Session(weights, config, EngineParams())
+            assert np.array_equal(session.prefill(tokens)[0], expect[-1])
+            logits.append(session.decode_step(token))
+        assert all(np.array_equal(row, logits[0]) for row in logits)
+
+    @pytest.mark.parametrize("tokens", [[], [[1, 2]], 3, [-1, 2], [1, 9]],
+                             ids=["empty", "2-d", "scalar", "negative", "past-vocab"])
+    def test_prefill_and_forward_full_refuse_bad_sequences(self, tokens):
+        config, weights = make_model(2)
+        with pytest.raises(InputError):
+            Session(weights, config, EngineParams()).prefill(tokens)
+        with pytest.raises(InputError):
+            forward_full(tokens, weights, config)
+
+    @pytest.mark.parametrize("token", [-1, 9, np.int64(9)])
+    def test_decode_refuses_ids_outside_the_vocabulary(self, token):
+        config, weights = make_model(2)
+        session = Session(weights, config, EngineParams())
+        session.prefill([1, 2, 3])
+        with pytest.raises(InputError, match="lie in"):
+            session.decode_step(token)
+
+
 class TestDecode:
     def test_decode_before_prefill_rejected(self):
         config, weights = make_model(9)
@@ -603,6 +681,13 @@ class TestPolicies:
         b = make_policy("random", config, detect, seed=5)
         assert a.lazy_layers == b.lazy_layers
         assert len(a.lazy_layers) == 4
+
+    def test_unseeded_random_policy_records_a_seed_that_replays_it(self):
+        config, _ = make_model(40, n_layers=6)
+        detect = DetectParams(w_last=4, w_sink=1, w_recent=4, n_full=2)
+        drawn = make_policy("random", config, detect)
+        assert 0 <= drawn.seed < 2**63
+        assert make_policy("random", config, detect, seed=drawn.seed) == drawn
 
     def test_random_range_too_small_rejected(self):
         config, _ = make_model(41, n_layers=6)

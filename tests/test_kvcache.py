@@ -349,3 +349,40 @@ def test_random_appends_keep_the_window_contents(script):
         all_k = np.concatenate([all_k, ks], axis=1)
         all_x = np.concatenate([all_x, xs])
         check_against_appended_rows(cache, all_k, all_x, w_v, rng, script["logit_scaling"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_rows=st.integers(0, 40),
+    w_sink=st.integers(0, 4),
+    w_recent=st.integers(1, 8),
+    streaming=st.booleans(),
+    transfer_at=st.one_of(st.none(), st.integers(0, 40)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_row_appends_equal_one_bulk_append(
+    n_rows, w_sink, w_recent, streaming, transfer_at, seed
+):
+    """Rows appended one at a time (the decode path) leave the same held
+    rows, in the same storage slots, as the same rows in one bulk append;
+    a full cache may switch to streaming after ``transfer_at`` rows, on
+    both sides alike, and the ring wraps once it holds w_recent rows."""
+    rng = np.random.default_rng(seed)
+    n_heads, d_key, d_model = 2, 3, 4
+    keys = rng.standard_normal((n_heads, n_rows, d_key))
+    xs = rng.standard_normal((n_rows, d_model))
+    policy = CachePolicy.streaming(w_sink, w_recent) if streaming else CachePolicy.full()
+    one, bulk = (LayerCache(n_heads, d_key, d_model, policy) for _ in range(2))
+    cut = n_rows if transfer_at is None else min(transfer_at, n_rows)
+    for lo, hi in ((0, cut), (cut, n_rows)):
+        for i in range(lo, hi):
+            one.append(keys[:, i : i + 1], xs[i : i + 1])
+        bulk.append(keys[:, lo:hi], xs[lo:hi])
+        if lo == 0 and transfer_at is not None:
+            one.transfer_to_streaming(w_sink, w_recent)
+            bulk.transfer_to_streaming(w_sink, w_recent)
+        assert one.total_seen == bulk.total_seen == hi
+        assert one.size == bulk.size
+        for got, expect in zip(one.held(), bulk.held()):
+            assert np.array_equal(got, expect)
+        assert np.array_equal(one.kept_positions, bulk.kept_positions)

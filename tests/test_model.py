@@ -82,6 +82,21 @@ def ln_inputs(draw):
     return x.tolist() if kind == "list" else x
 
 
+@st.composite
+def ln_matrices(draw):
+    """2-4 rows at widths up to twice the pairwise summation's 128-float
+    block; some rows rescaled to a norm within a few ulps of 1, where the
+    clip switches between identity and division."""
+    width = draw(st.integers(1, 300))
+    x = draw(arrays(np.float64, (draw(st.integers(2, 4)), width), elements=st.floats(-1, 1)))
+    for i in range(x.shape[0]):
+        exponent = draw(st.sampled_from([None, -3, -1, 0, 1, 3]))
+        norm = np.sqrt(np.sum(x[i] * x[i]))
+        if exponent is not None and norm > 0:
+            x[i] *= np.nextafter(1.0, 2.0 if exponent > 0 else 0.0) ** abs(exponent) / norm
+    return x
+
+
 class TestLn:
     @settings(max_examples=150, deadline=None)
     @given(x=ln_inputs(), mode=st.sampled_from(["clip", "rms"]))
@@ -89,6 +104,16 @@ class TestLn:
         got = ln(x, mode)
         assert got.dtype == np.float64
         assert np.array_equal(got, ln_mean_formulas(x, mode))
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=ln_matrices(), mode=st.sampled_from(["clip", "rms"]))
+    def test_one_row_path_matches_the_matrix_path_bit_for_bit(self, x, mode):
+        """A vector and a ``(1, d)`` matrix take the scalar path; two or more
+        rows take the matrix path. Each row comes out the same either way."""
+        rows = ln(x, mode)
+        for i in range(x.shape[0]):
+            assert np.array_equal(ln(x[i], mode), rows[i])
+            assert np.array_equal(ln(x[i : i + 1], mode), rows[i : i + 1])
 
     @pytest.mark.parametrize(
         "row",
