@@ -1,7 +1,8 @@
 """Hybrid vs all-full timing: the one protocol behind ``lazykv bench``.
 
-A run is one session: a timed prefill, then ``max_new`` greedy decode
-steps, each timed; its step time is the median after ``SKIPPED_STEPS``.
+A run is one session's ``generate_greedy`` of ``max_new + 1`` tokens, the
+one clock: it times the prefill and each of the ``max_new`` decode steps,
+each argmax outside; the step time is the median after ``SKIPPED_STEPS``.
 Hybrid detects lazy layers online; the all-full baseline replays a policy
 with no lazy layer, so it neither detects nor evicts.
 
@@ -22,7 +23,6 @@ hybrid ones.
 
 from __future__ import annotations
 
-import time
 from typing import Dict
 
 import numpy as np
@@ -45,18 +45,11 @@ def baseline_params(detect: DetectParams) -> EngineParams:
 
 def _run(weights, config, params, tokens, max_new: int) -> dict:
     session = Session(weights, config, params)
-    t0 = time.perf_counter()
-    logits, _ = session.prefill(tokens)
-    prefill_s = time.perf_counter() - t0
-    steps = []
-    for _ in range(max_new):
-        token = int(np.argmax(logits))
-        t0 = time.perf_counter()
-        logits = session.decode_step(token)
-        steps.append(time.perf_counter() - t0)
+    session.generate_greedy(tokens, max_new + 1)
+    steps = session.decode_seconds
     step_s = float(np.median(steps[SKIPPED_STEPS:] or steps)) if steps else 0.0
     return {
-        "prefill_s": prefill_s,
+        "prefill_s": session.prefill_seconds,
         "decode_step_s": step_s,
         "decode_tokens_per_s": 1.0 / step_s if step_s > 0 else float("inf"),
         "peak_rows": session.peak_rows,

@@ -50,26 +50,20 @@ def _emit(payload: dict, path) -> None:
         print(text)
 
 
-def _parse_tokens(spec: str):
-    import numpy as np
-
+def _parse_tokens(spec: str, vocab_size: int):
+    """``--tokens``: a JSON file or a comma list of ids in ``[0, vocab_size)``."""
     from .errors import InputError, parse_json
-    from .offline import is_token_list
+    from .model import check_tokens
 
     if os.path.exists(spec):
         with open(spec, "rb") as f:
-            data = parse_json(f.read(), spec)
-        if not is_token_list(data):
-            raise InputError(f"{spec} must hold a JSON list of integer token ids")
+            data, source = parse_json(f.read(), spec), spec
     else:
-        try:
-            data = [int(t) for t in spec.split(",") if t != ""]
-        except ValueError as exc:
-            raise InputError(f"--tokens must be a file or comma-separated ids: {exc}") from exc
+        data, source = _parse_int_list(spec, "--tokens"), "--tokens"
     try:
-        return np.asarray(data, dtype=np.int64)
-    except OverflowError as exc:
-        raise InputError(f"token id out of range: {exc}") from exc
+        return check_tokens(data, vocab_size)
+    except InputError as exc:
+        raise InputError(f"{source}: {exc}") from exc
 
 
 def _parse_int_list(spec: str, flag: str, minimum=None):
@@ -170,7 +164,7 @@ def cmd_run(args) -> int:
     from .model import load_model, model_fingerprint
 
     config, weights, _ = load_model(args.model)
-    tokens = _parse_tokens(args.tokens)
+    tokens = _parse_tokens(args.tokens, config.vocab_size)
     detect = _detect_from_args(args, config.n_layers)
     fp = model_fingerprint(args.model) if args.policy or args.emit_policy else ""
     policy = None
@@ -263,7 +257,7 @@ def cmd_analyze(args) -> int:
     if args.max_new < 0:
         raise InputError(f"--max-new must be >= 0, got {args.max_new}")
     config, weights, _ = load_model(args.model)
-    tokens = _parse_tokens(args.tokens)
+    tokens = _parse_tokens(args.tokens, config.vocab_size)
     sweep = sorted(set(_parse_int_list(args.w_last_sweep, "--w-last-sweep", minimum=1)))
     L, scale = config.n_layers, config.score_scale
     p = _default_p(L, args.p_layers)

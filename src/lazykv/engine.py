@@ -1,12 +1,13 @@
 """Inference sessions with per-layer full/streaming cache policies.
 
-Prefill always computes exact full-causal attention for every layer, so
-prefill logits match the plain model; what varies is cache retention
-afterwards. Each layer makes ``forward_full``'s one attention call,
-``model.mha_from_projections``, so prefill logits are bit-identical to the
-plain model's. That call also returns every row's log-sum-exp when it runs
-on the tiled kernel (prompts longer than 64 tokens), and ``None`` on the
-per-head path.
+Prefill and decode run one layer loop, ``Session._layers``: ln, Q/K
+projection, cache append, an attention step, residual, FFN, and then the
+unembedding. Only the attention step differs. Prefill's is
+``forward_full``'s one call, ``model.mha_from_projections``: exact
+full-causal attention in every layer, so prefill logits are bit-identical
+to the plain model's and only the cache retention afterwards varies. That
+call also returns every row's log-sum-exp when it runs on the tiled kernel
+(prompts longer than 64 tokens), and ``None`` on the per-head path.
 
 * online mode: after each layer's attention, its lazy ratio is computed
   from the log-sum-exp shortcut (``lse_log_ratios``) and pushed into a
@@ -21,11 +22,12 @@ per-head path.
   are shrunk right after their prefill pass. Replaying a policy captured
   from an online run therefore reproduces that run's decode exactly.
 
-Decode runs one token at a time; each layer appends the new key rows and
-its normalized input row under its policy and attends over whatever the
-cache retained. The cache holds no per-head values: ``attend_from_cache``
+Decode's step is ``attend_from_cache`` alone, over whatever the cache
+retained. The cache holds no per-head values: ``attend_from_cache``
 weights the held input rows and applies the layer's W_V after the sum, so
-a held row costs ``(n_heads * d_head + d_model) * 8`` bytes.
+a held row costs ``(n_heads * d_head + d_model) * 8`` bytes. A decode step
+appends one row per cache and transfers none, so it keeps no books:
+``Session.peak_rows`` is derived from prefill's peak and the caches' sizes.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ __all__ = [
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -180,24 +182,28 @@ class Session:
             LayerCache(config.n_heads, config.d_head, config.d_model, CachePolicy.full())
             for _ in range(config.n_layers)
         ]
-        self.identifier = (
-            IdentifierState(params.detect.n_full, config.n_layers)
-            if params.policy is None
-            else None
-        )
         self.prefilled = False
         self.report: Optional[LazyRatioReport] = None
-        self.peak_rows = 0  # running peak of held rows over all layers
+        # Observed after each prefill append. Decode adds no full cache, and
+        # peak_rows reads decode's growth from the cache sizes.
+        self._prefill_peak_rows = 0
         self.peak_full_caches = 0
+        # Set by generate_greedy, the one clock.
+        self.prefill_seconds: Optional[float] = None
         self.decode_seconds: List[float] = []
 
-    # -- bookkeeping ---------------------------------------------------------
-
-    def _observe(self) -> None:
-        self.peak_rows = max(self.peak_rows, sum(c.size for c in self.caches))
-        full = sum(1 for c in self.caches if c.policy.kind == "full" and c.size > 0)
-        if full > self.peak_full_caches:
-            self.peak_full_caches = full
+    def _layers(self, x: np.ndarray, attention) -> np.ndarray:
+        """Run every block on the embedded rows ``x``; return their logits.
+        ``attention(layer, q, k, x_norm)`` runs once the layer's cache holds
+        the new rows."""
+        cfg, w = self.config, self.weights
+        for layer, cache in enumerate(self.caches):
+            x_norm = ln(x, cfg.ln_mode)
+            q, k = project_qkv(x_norm, w, layer)
+            cache.append(k, x_norm)
+            x = x + attention(layer, q, k, x_norm)
+            x = x + ffn_forward(ln(x, cfg.ln_mode), w, layer, cfg)
+        return x @ w.unembed
 
     # -- prefill -------------------------------------------------------------
 
@@ -206,52 +212,46 @@ class Session:
         if self.prefilled:
             raise ContractViolation("session already prefilled")
         tokens = check_tokens(tokens, self.config.vocab_size)
-        cfg, detect = self.config, self.params.detect
-        online = self.params.policy is None
-        scale = cfg.score_scale
-        n = tokens.size
-        m = min(detect.w_last, n)
-
-        x = self.weights.embedding[tokens]
+        detect, policy, caches = self.params.detect, self.params.policy, self.caches
+        scale = self.config.score_scale
+        m = min(detect.w_last, tokens.size)
+        identifier = IdentifierState(detect.n_full, len(caches)) if policy is None else None
         ratios: List[float] = []
         log_ratios: List[np.ndarray] = []
-        for layer in range(cfg.n_layers):
-            x_norm = ln(x, cfg.ln_mode)
-            q, k = project_qkv(x_norm, self.weights, layer)
+
+        def attention(layer, q, k, x_norm):
             attn, lse = mha_from_projections(q, k, x_norm, self.weights.w_v[layer], scale)
-            self.caches[layer].append(k, x_norm)
-            self._observe()
-            if online:
+            self._prefill_peak_rows = max(self._prefill_peak_rows, sum(c.size for c in caches))
+            full = sum(c.policy.kind == "full" and c.size > 0 for c in caches)
+            self.peak_full_caches = max(self.peak_full_caches, full)
+            if policy is None:
                 # The tiled pass already holds every row's lse; short prompts
                 # run one attend call over just the last m rows.
-                q_last = q[:, n - m :]
+                q_last = q[:, -m:]
                 if lse is None:
-                    pos = np.arange(n)
-                    _, lse = attend(q_last, k, scale, pos[n - m :], pos)
+                    pos = np.arange(tokens.size)
+                    _, lse = attend(q_last, k, scale, pos[-m:], pos)
                 else:
-                    lse = lse[:, n - m :]
+                    lse = lse[:, -m:]
                 head_logs = lse_log_ratios(q_last, k, lse, detect, scale)
                 ratio = float(np.exp(head_logs).mean())
                 ratios.append(ratio)
                 log_ratios.append(head_logs)
-                popped = self.identifier.push(layer, ratio)
+                popped = identifier.push(layer, ratio)
                 if popped is not None:
-                    self.caches[popped].transfer_to_streaming(
-                        detect.w_sink, detect.w_recent
-                    )
-            elif layer in self.params.policy.lazy_layers:
-                pol = self.params.policy
-                self.caches[layer].transfer_to_streaming(
-                    pol.w_sink, pol.window_for(layer)
-                )
-            x = x + attn
-            x = x + ffn_forward(ln(x, cfg.ln_mode), self.weights, layer, cfg)
+                    caches[popped].transfer_to_streaming(detect.w_sink, detect.w_recent)
+            elif layer in policy.lazy_layers:
+                caches[layer].transfer_to_streaming(policy.w_sink, policy.window_for(layer))
+            return attn
 
-        if online:
-            full_layers, lazy_layers = self.identifier.finalize()
+        # The plain forward pass's matrix-matrix unembedding, so the row is
+        # bit-identical to forward_full's; copied, so it pins no (n, vocab) block.
+        logits = self._layers(self.weights.embedding[tokens], attention)[-1].copy()
+        if policy is None:
+            full_layers, lazy_layers = identifier.finalize()
         else:
-            lazy_layers = sorted(self.params.policy.lazy_layers)
-            full_layers = [i for i in range(cfg.n_layers) if i not in set(lazy_layers)]
+            lazy_layers = sorted(policy.lazy_layers)
+            full_layers = [i for i in range(self.config.n_layers) if i not in set(lazy_layers)]
         self.report = LazyRatioReport(
             ratios=ratios,
             log_ratios=log_ratios,
@@ -259,9 +259,6 @@ class Session:
             full_layers=full_layers,
         )
         self.prefilled = True
-        # The plain forward pass's matrix-matrix unembedding, so the row is
-        # bit-identical to forward_full's; copied, so it pins no (n, vocab) block.
-        logits = (x @ self.weights.unembed)[-1].copy()
         return logits, self.report
 
     # -- decode --------------------------------------------------------------
@@ -271,33 +268,34 @@ class Session:
         if not self.prefilled:
             raise ContractViolation("decode_step called before prefill")
         token = check_tokens(token, self.config.vocab_size, one=True)
-        t0 = time.perf_counter()
-        cfg = self.config
-        x = self.weights.embedding[token][None, :]
-        for layer in range(cfg.n_layers):
-            x_norm = ln(x, cfg.ln_mode)
-            q, k = project_qkv(x_norm, self.weights, layer)
-            cache = self.caches[layer]
-            cache.append(k, x_norm)
-            x = x + attend_from_cache(cache, q, self.weights.w_v[layer], cfg)
-            x = x + ffn_forward(ln(x, cfg.ln_mode), self.weights, layer, cfg)
-        self._observe()
-        logits = (x @ self.weights.unembed)[0]
-        self.decode_seconds.append(time.perf_counter() - t0)
-        return logits
+        cfg, caches, w_v = self.config, self.caches, self.weights.w_v
+        return self._layers(
+            self.weights.embedding[token][None, :],
+            lambda layer, q, k, x_norm: attend_from_cache(caches[layer], q, w_v[layer], cfg),
+        )[0]
 
     def generate_greedy(self, prompt_tokens, max_new_tokens: int) -> List[int]:
-        """Greedy continuation; argmax ties resolve to the smallest token id."""
-        if max_new_tokens < 0:
-            raise InputError("max_new_tokens must be >= 0")
+        """Greedy continuation; argmax ties resolve to the smallest token id.
+        Times the prefill and each decode step, argmax untimed."""
+        if not _is_int(max_new_tokens) or max_new_tokens < 0:  # check_tokens's rule
+            raise InputError(f"max_new_tokens must be an integer >= 0, got {max_new_tokens!r}")
+        t0 = time.perf_counter()
         logits, _ = self.prefill(prompt_tokens)
-        if max_new_tokens == 0:
-            return []
-        generated = [int(np.argmax(logits))]
+        self.prefill_seconds = time.perf_counter() - t0
+        generated = [int(np.argmax(logits))][:max_new_tokens]
         for _ in range(max_new_tokens - 1):
+            t0 = time.perf_counter()
             logits = self.decode_step(generated[-1])
+            self.decode_seconds.append(time.perf_counter() - t0)
             generated.append(int(np.argmax(logits)))
         return generated
+
+    @property
+    def peak_rows(self) -> int:
+        """Peak held rows over all layers. A decode step appends one row to
+        every cache and transfers none, so the total never falls after
+        prefill: the peak is prefill's or the current total."""
+        return max(self._prefill_peak_rows, sum(c.size for c in self.caches))
 
     @property
     def peak_kv_bytes(self) -> int:

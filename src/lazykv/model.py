@@ -329,13 +329,16 @@ def check_tokens(tokens, vocab_size: int, one: bool = False):
             raise InputError(f"token id must be an integer, got {tokens!r}")
         ids = lo = hi = int(tokens)
     else:
-        ids = np.asarray(tokens)
+        try:
+            ids = np.asarray(tokens)
+        except ValueError:  # ragged nesting; refused below as not 1-D
+            ids = np.empty((0, 0))
         if ids.ndim != 1 or ids.size == 0:
             raise InputError("tokens must be a non-empty 1-D id sequence")
         # numpy reads [1, True] as ints, so a list is searched for bools.
         listed = () if isinstance(tokens, np.ndarray) else tokens
         if ids.dtype.kind not in "iu" or any(isinstance(t, (bool, np.bool_)) for t in listed):
-            raise InputError(f"token ids must be integers, got {ids.dtype} values")
+            raise InputError(f"token ids must be integers within int64, got {ids.dtype} values")
         ids, lo, hi = ids.astype(np.int64, copy=False), int(ids.min()), int(ids.max())
     if lo < 0 or hi >= vocab_size:
         raise InputError(f"token ids must lie in [0, {vocab_size}), got [{lo}, {hi}]")

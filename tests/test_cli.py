@@ -236,7 +236,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "text",
         ["[1.7, 2.2]", "[1, true]", "{\"a\": 1}", "[1, 2", "[99999999999999999999]",
-         pytest.param("[" * 100_000, id="deep-nesting")],
+         "[[1], [1, 2]]", "[]", "[1, 99]", pytest.param("[" * 100_000, id="deep-nesting")],
     )
     def test_bad_token_file_is_input_error(self, tmp_path, model_path, capsys, text):
         # non-integers are refused, not truncated; unreadable JSON is refused
@@ -244,7 +244,25 @@ class TestRun:
         toks.write_text(text)
         assert run_cli("run", "--model", model_path, "--tokens", toks) == 1
         err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(toks) in err
+
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    @pytest.mark.parametrize("source", ["file", "list"])
+    def test_token_ids_are_checked_before_any_prefill(self, tmp_path, model_path, capsys,
+                                                      monkeypatch, command, source):
+        def no_prefill(*args):
+            raise AssertionError("prefill ran on ids outside the vocabulary")
+
+        monkeypatch.setattr(lazykv.engine.Session, "prefill", no_prefill)
+        spec = "1,99,3"
+        if source == "file":
+            spec = tmp_path / "toks.json"
+            spec.write_text("[1, 99, 3]")
+        capsys.readouterr()
+        assert run_cli(command, "--model", model_path, "--tokens", spec) == 1
+        err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "[0, 11)" in err and str(spec if source == "file" else "--tokens") in err
 
 
 GOOD_POLICY = {

@@ -14,7 +14,7 @@ from lazykv.engine import (
     pyramid_windows,
 )
 from lazykv.errors import ContractViolation, InputError
-from lazykv.kvcache import kept_positions_for
+from lazykv.kvcache import LayerCache, kept_positions_for
 from lazykv.lazydetect import DetectParams
 from lazykv.model import (
     _PREFILL_BLOCK,
@@ -369,8 +369,10 @@ class TestTokenIds:
             logits.append(session.decode_step(token))
         assert all(np.array_equal(row, logits[0]) for row in logits)
 
-    @pytest.mark.parametrize("tokens", [[], [[1, 2]], 3, [-1, 2], [1, 9]],
-                             ids=["empty", "2-d", "scalar", "negative", "past-vocab"])
+    @pytest.mark.parametrize("tokens", [[], [[1, 2]], [[1], [1, 2]], [[1], [2, 3]], 3, [-1, 2],
+                                        [1, 9]],
+                             ids=["empty", "2-d", "ragged", "ragged-rows", "scalar", "negative",
+                                  "past-vocab"])
     def test_prefill_and_forward_full_refuse_bad_sequences(self, tokens):
         config, weights = make_model(2)
         with pytest.raises(InputError):
@@ -472,6 +474,30 @@ class TestGenerate:
         config, weights = make_model(20)
         session = Session(weights, config, EngineParams())
         assert session.generate_greedy([1, 2, 3], 0) == []
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3", True, np.True_, None, [2], -1],
+                             ids=["float", "integral-float", "string", "bool", "numpy-bool",
+                                  "none", "list", "negative"])
+    def test_bad_token_counts_are_refused_before_prefill(self, count):
+        config, weights = make_model(20)
+        session = Session(weights, config, EngineParams())
+        with pytest.raises(InputError, match="max_new_tokens"):
+            session.generate_greedy([1, 2, 3], count)
+        assert not session.prefilled and session.prefill_seconds is None
+
+    def test_numpy_integer_counts_run_as_ints(self):
+        config, weights = make_model(20)
+        runs = [Session(weights, config, EngineParams()).generate_greedy([1, 2, 3], count)
+                for count in (4, np.int64(4), np.uint8(4))]
+        assert runs[0] == runs[1] == runs[2] and len(runs[0]) == 4
+
+    def test_times_the_prefill_and_each_decode_step(self):
+        config, weights = make_model(20)
+        session = Session(weights, config, EngineParams())
+        session.generate_greedy([1, 2, 3], 5)
+        assert session.prefill_seconds > 0
+        assert len(session.decode_seconds) == 4 and min(session.decode_seconds) > 0
+        assert session.run_report()["decode_ms_per_step"] > 0
 
     def test_p_equals_l_matches_full_recompute_tokens(self):
         rng = np.random.default_rng(21)
@@ -662,6 +688,53 @@ class TestRowCounts:
             assert session.peak_rows == peak
             assert session.run_report()["rows_per_layer"] == sizes
         assert session.peak_rows == 30 + 5
+
+
+@st.composite
+def peak_case(draw):
+    n_layers = draw(st.integers(1, 4))
+    w_sink, w_recent = draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    detect = DetectParams(w_last=draw(st.integers(1, 4)), w_sink=w_sink, w_recent=w_recent,
+                          n_full=draw(st.integers(0, n_layers)))
+    policy = None
+    if draw(st.booleans()):  # static: any subset of layers, as replays and manual policies
+        lazy = draw(st.lists(st.integers(0, n_layers - 1), unique=True))
+        policy = PolicyFile.from_detect(detect, lazy, "manual")
+    return dict(seed=draw(st.integers(0, 2**32 - 1)), n_layers=n_layers,
+                params=EngineParams(detect=detect, policy=policy),
+                n_prompt=draw(st.integers(1, 24)), n_steps=draw(st.integers(0, 30)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(peak_case())
+def test_derived_peaks_equal_a_running_max_over_every_append(case):
+    """``peak_rows`` is derived, not counted: it must equal the running max
+    of the total held rows, taken after every prefill append and every
+    decode step, and ``peak_full_caches`` must not move during decode."""
+    config, weights = make_model(case["seed"], n_layers=case["n_layers"])
+    rng = np.random.default_rng(case["seed"])
+    session = Session(weights, config, case["params"])
+    totals, fulls = [], []
+    append = LayerCache.append
+
+    def observed_append(cache, keys, inputs):
+        append(cache, keys, inputs)
+        totals.append(sum(c.size for c in session.caches))
+        fulls.append(sum(c.policy.kind == "full" and c.size > 0 for c in session.caches))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(LayerCache, "append", observed_append)
+        session.prefill(random_prompt(rng, config, case["n_prompt"]))
+    assert len(totals) == config.n_layers
+    assert session.peak_rows == max(totals)
+    assert session.peak_full_caches == max(fulls)
+    peak, full = max(totals), session.peak_full_caches
+    for token in random_prompt(rng, config, case["n_steps"]):
+        session.decode_step(token)
+        peak = max(peak, sum(c.size for c in session.caches))
+        assert session.peak_rows == peak
+        assert session.peak_full_caches == full
+        assert session.run_report()["peak_rows"] == peak
 
 
 class TestPolicies:
